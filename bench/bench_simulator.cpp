@@ -8,6 +8,8 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <utility>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "core/backoff.hpp"
@@ -21,16 +23,53 @@
 namespace emis {
 namespace {
 
+/// G(n, d/n) sampling plus CSR build; args are (n, average degree d). The
+/// dense leg is the regime of full-size runs, where the build dominates.
 void BM_GraphErdosRenyi(benchmark::State& state) {
   const auto n = static_cast<NodeId>(state.range(0));
+  const double p = static_cast<double>(state.range(1)) / n;
   Rng rng(1);
+  std::int64_t edges = 0;
   for (auto _ : state) {
-    Graph g = gen::ErdosRenyi(n, 8.0 / n, rng);
+    Graph g = gen::ErdosRenyi(n, p, rng);
+    edges += static_cast<std::int64_t>(g.NumEdges());
     benchmark::DoNotOptimize(g.NumEdges());
   }
-  state.SetItemsProcessed(state.iterations() * n);
+  state.SetItemsProcessed(edges);
 }
-BENCHMARK(BM_GraphErdosRenyi)->Arg(1024)->Arg(16384);
+BENCHMARK(BM_GraphErdosRenyi)
+    ->Args({1024, 8})
+    ->Args({16384, 8})
+    ->Args({65536, 256})
+    ->Unit(benchmark::kMillisecond);
+
+/// GraphBuilder::Build alone, from a pre-shuffled and randomly oriented
+/// G(n, d/n) edge list: every row arrives unsorted, so this tracks the
+/// per-row sort that generator-ordered input never needs.
+void BM_GraphBuildShuffled(benchmark::State& state) {
+  const auto n = static_cast<NodeId>(state.range(0));
+  Rng rng(5);
+  std::vector<Edge> edges =
+      gen::ErdosRenyi(n, static_cast<double>(state.range(1)) / n, rng).EdgeList();
+  for (std::size_t i = edges.size(); i > 1; --i) {
+    std::swap(edges[i - 1], edges[rng.UniformBelow(i)]);
+  }
+  for (Edge& e : edges) {
+    if (rng.Bernoulli(0.5)) std::swap(e.u, e.v);
+  }
+  for (auto _ : state) {
+    GraphBuilder builder(n);
+    builder.Reserve(edges.size());
+    for (const Edge& e : edges) builder.AddEdge(e.u, e.v);
+    const Graph g = std::move(builder).Build();
+    benchmark::DoNotOptimize(g.MaxDegree());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(edges.size()));
+}
+BENCHMARK(BM_GraphBuildShuffled)
+    ->Args({16384, 8})
+    ->Args({65536, 256})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_ChannelRound(benchmark::State& state) {
   const auto n = static_cast<NodeId>(state.range(0));

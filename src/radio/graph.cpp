@@ -157,8 +157,8 @@ std::uint32_t Graph::ConnectedComponents(std::vector<std::uint32_t>& component) 
 
 Graph Graph::Square() const {
   // Two-hop enumeration produces the same pair many times (once per common
-  // neighbor); append them all and let Build() sort+unique once instead of
-  // paying a hash probe per candidate.
+  // neighbor); append them all and let Build() drop the repeats per row
+  // instead of paying a hash probe per candidate.
   GraphBuilder builder(NumNodes());
   builder.Reserve(NumEdges() * 2);
   for (NodeId v = 0; v < NumNodes(); ++v) {
@@ -240,18 +240,8 @@ void GraphBuilder::AddEdgeDedup(NodeId u, NodeId v) {
 }
 
 Graph GraphBuilder::Build() && {
-  // Sort; with AddEdgeDedup in play duplicates are collapsed here, otherwise
-  // they are a caller error.
-  std::sort(edges_.begin(), edges_.end(), [](const Edge& a, const Edge& b) {
-    return a.u != b.u ? a.u < b.u : a.v < b.v;
-  });
-  if (dedup_at_build_) {
-    edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
-  } else {
-    EMIS_REQUIRE(std::adjacent_find(edges_.begin(), edges_.end()) == edges_.end(),
-                 "duplicate edge");
-  }
-
+  // Count -> scatter -> per-row finish. Each row is finished on its own: a
+  // duplicate edge repeats inside both endpoint rows, so no cross-row order.
   Graph g;
   g.offsets_.assign(static_cast<std::size_t>(num_nodes_) + 1, 0);
   for (const Edge& e : edges_) {
@@ -260,19 +250,35 @@ Graph GraphBuilder::Build() && {
   }
   for (std::size_t i = 1; i < g.offsets_.size(); ++i) g.offsets_[i] += g.offsets_[i - 1];
 
+  // offsets_[v] is row v's cursor; afterwards it holds the row's end.
   g.adjacency_.resize(edges_.size() * 2);
-  std::vector<std::uint64_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
   for (const Edge& e : edges_) {
-    g.adjacency_[cursor[e.u]++] = e.v;
-    g.adjacency_[cursor[e.v]++] = e.u;
+    g.adjacency_[g.offsets_[e.u]++] = e.v;
+    g.adjacency_[g.offsets_[e.v]++] = e.u;
   }
+
+  // Sort unsorted rows; reject (or, after AddEdgeDedup, drop) duplicates.
+  NodeId* const adj = g.adjacency_.data();
+  std::uint64_t row_begin = 0;  // row v's start as scattered
+  std::uint64_t out = 0;        // row v's start once closed up
   for (NodeId v = 0; v < num_nodes_; ++v) {
-    auto begin = g.adjacency_.begin() + static_cast<std::ptrdiff_t>(g.offsets_[v]);
-    auto end = g.adjacency_.begin() + static_cast<std::ptrdiff_t>(g.offsets_[v + 1]);
-    std::sort(begin, end);
-    g.max_degree_ = std::max<std::uint32_t>(
-        g.max_degree_, static_cast<std::uint32_t>(end - begin));
+    NodeId* const begin = adj + row_begin;
+    NodeId* end = adj + g.offsets_[v];
+    row_begin = g.offsets_[v];
+    if (!std::is_sorted(begin, end)) std::sort(begin, end);
+    if (NodeId* const dup = std::adjacent_find(begin, end); dup != end) {
+      EMIS_REQUIRE(dedup_at_build_, "duplicate edge");
+      end = std::unique(dup, end);
+    }
+    const auto degree = static_cast<std::uint32_t>(end - begin);
+    if (adj + out != begin) std::copy(begin, end, adj + out);
+    g.offsets_[v] = out;
+    out += degree;
+    g.max_degree_ = std::max(g.max_degree_, degree);
   }
+  g.offsets_[num_nodes_] = out;
+  g.adjacency_.resize(out);
+  g.adjacency_.shrink_to_fit();  // no-op unless duplicates were dropped
   return g;
 }
 

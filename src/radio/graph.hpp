@@ -246,9 +246,9 @@ class ResidualGraph {
 ///   * AddEdgeIfAbsent — membership-checked insert (needs the answer *now*,
 ///     e.g. to count distinct edges). The membership set is materialized
 ///     lazily on first use, so pure-AddEdge builders never pay for it.
-///   * AddEdgeDedup — append now, deduplicate once inside Build() via
-///     sort + unique. Cheapest way to insert a stream with many repeats
-///     when the caller does not need per-insert feedback (e.g. Square()).
+///   * AddEdgeDedup — append now; Build() drops the repeats row by row.
+///     Cheapest way to insert a stream with many repeats when the caller
+///     does not need per-insert feedback (e.g. Square()).
 class GraphBuilder {
  public:
   explicit GraphBuilder(NodeId num_nodes) : num_nodes_(num_nodes) {}
@@ -275,6 +275,8 @@ class GraphBuilder {
   NodeId num_nodes() const noexcept { return num_nodes_; }
   std::uint64_t num_pending_edges() const noexcept { return edges_.size(); }
 
+  /// O(n + m) plus sorting only the rows that arrive unsorted; edges added in
+  /// lexicographic (u, v) order, as the bulk generators emit them, sort none.
   Graph Build() &&;
 
  private:

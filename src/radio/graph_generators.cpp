@@ -4,6 +4,7 @@
 #include <cmath>
 #include <functional>
 #include <queue>
+#include <string>
 #include <vector>
 
 namespace emis::gen {
@@ -24,37 +25,29 @@ void SampleBernoulliPairs(NodeId n, double p, Rng& rng, EmitEdge emit) {
   const double log1mp = std::log1p(-p);
   const std::uint64_t total = static_cast<std::uint64_t>(n) * (n - 1) / 2;
   std::uint64_t pos = 0;
+  // Decode position -> (row, col) with a row cursor: row r owns the n-1-r
+  // positions from row_begin on; positions only grow, so it only moves on.
+  NodeId row = 0;
+  std::uint64_t row_begin = 0;
   for (;;) {
     const double u = std::max(rng.UniformUnit(), 1e-300);  // avoid log(0)
     const double skip = std::floor(std::log(u) / log1mp);
     if (skip >= static_cast<double>(total - pos)) return;
     pos += static_cast<std::uint64_t>(skip);
-    if (pos >= total) return;
-    // Decode position -> (row u, col v). Row r owns (n-1-r) pairs.
-    std::uint64_t remaining = pos;
-    NodeId row = 0;
-    // Binary search over rows for O(log n) decode.
-    {
-      NodeId lo = 0, hi = n - 1;
-      // prefix(r) = pairs before row r = r*n - r - r(r-1)/2... use direct sum:
-      auto prefix = [n](std::uint64_t r) {
-        return r * n - r - r * (r - 1) / 2;
-      };
-      while (lo < hi) {
-        const NodeId mid = lo + (hi - lo + 1) / 2;
-        if (prefix(mid) <= remaining)
-          lo = mid;
-        else
-          hi = mid - 1;
-      }
-      row = lo;
-      remaining -= prefix(row);
+    while (pos - row_begin >= n - 1 - row) {
+      row_begin += n - 1 - row;
+      ++row;
     }
-    const NodeId col = static_cast<NodeId>(row + 1 + remaining);
-    emit(row, col);
+    emit(row, static_cast<NodeId>(row + 1 + (pos - row_begin)));
     ++pos;
     if (pos >= total) return;
   }
+}
+
+/// A composite family's node count, computed wide so it is rejected, not wrapped.
+NodeId NodeCount(std::uint64_t count, const char* what) {
+  EMIS_REQUIRE(count < kInvalidNode, std::string(what) + " does not fit a node id");
+  return static_cast<NodeId>(count);
 }
 
 }  // namespace
@@ -135,7 +128,7 @@ Graph RandomGeometric(NodeId n, double radius, Rng& rng) {
 }
 
 Graph Grid(NodeId rows, NodeId cols) {
-  GraphBuilder builder(rows * cols);
+  GraphBuilder builder(NodeCount(std::uint64_t{rows} * cols, "grid rows*cols"));
   auto id = [cols](NodeId r, NodeId c) { return r * cols + c; };
   for (NodeId r = 0; r < rows; ++r) {
     for (NodeId c = 0; c < cols; ++c) {
@@ -175,7 +168,7 @@ Graph Complete(NodeId n) {
 }
 
 Graph CompleteBipartite(NodeId left, NodeId right) {
-  GraphBuilder builder(left + right);
+  GraphBuilder builder(NodeCount(std::uint64_t{left} + right, "bipartite left+right"));
   builder.Reserve(static_cast<std::uint64_t>(left) * right);
   for (NodeId u = 0; u < left; ++u)
     for (NodeId v = 0; v < right; ++v) builder.AddEdge(u, left + v);
@@ -291,7 +284,7 @@ Graph PerfectMatching(NodeId n) {
 }
 
 Graph DisjointCliques(NodeId count, NodeId size) {
-  GraphBuilder builder(count * size);
+  GraphBuilder builder(NodeCount(std::uint64_t{count} * size, "cliques count*size"));
   if (size >= 2) {
     builder.Reserve(static_cast<std::uint64_t>(count) * size * (size - 1) / 2);
   }
@@ -304,7 +297,7 @@ Graph DisjointCliques(NodeId count, NodeId size) {
 }
 
 Graph Caterpillar(NodeId spine, NodeId legs) {
-  GraphBuilder builder(spine * (1 + legs));
+  GraphBuilder builder(NodeCount(spine * (legs + 1ULL), "caterpillar spine*(1+legs)"));
   for (NodeId s = 0; s + 1 < spine; ++s) builder.AddEdge(s, s + 1);
   for (NodeId s = 0; s < spine; ++s) {
     for (NodeId l = 0; l < legs; ++l) builder.AddEdge(s, spine + s * legs + l);

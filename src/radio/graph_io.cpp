@@ -192,7 +192,7 @@ Graph ReadEdgeList(std::istream& in) {
   };
 
   const std::uint64_t n = next_u64("node count");
-  EMIS_REQUIRE(n <= kInvalidNode, "node count too large");
+  EMIS_REQUIRE(n < kInvalidNode, "node count too large");
   const std::uint64_t m = next_u64("edge count");
   GraphBuilder builder(static_cast<NodeId>(n));
   for (std::uint64_t i = 0; i < m; ++i) {
@@ -220,6 +220,14 @@ struct SpecArgs {
     EMIS_REQUIRE(ec == std::errc{} && ptr == it->second.data() + it->second.size(),
                  "bad integer for '" + key + "' in graph spec");
     return value;
+  }
+
+  /// A node count (or degree): it must fit below the sentinel kInvalidNode.
+  NodeId GetCount(const std::string& key) const {
+    const std::uint64_t value = GetU64(key);
+    EMIS_REQUIRE(value < kInvalidNode,
+                 "graph spec '" + family + "' parameter '" + key + "' does not fit a node id");
+    return static_cast<NodeId>(value);
   }
 
   double GetDouble(const std::string& key) const {
@@ -261,37 +269,27 @@ SpecArgs ParseSpec(std::string_view spec) {
 
 Graph GraphFromSpec(std::string_view spec, Rng& rng) {
   const SpecArgs a = ParseSpec(spec);
-  const auto n = [&a] { return static_cast<NodeId>(a.GetU64("n")); };
+  const auto n = [&a] { return a.GetCount("n"); };
   if (a.family == "er") return gen::ErdosRenyi(n(), a.GetDouble("p"), rng);
   if (a.family == "gnm") return gen::GnM(n(), a.GetU64("m"), rng);
   if (a.family == "udg") return gen::RandomGeometric(n(), a.GetDouble("r"), rng);
-  if (a.family == "grid") {
-    return gen::Grid(static_cast<NodeId>(a.GetU64("rows")),
-                     static_cast<NodeId>(a.GetU64("cols")));
-  }
+  if (a.family == "grid") return gen::Grid(a.GetCount("rows"), a.GetCount("cols"));
   if (a.family == "path") return gen::Path(n());
   if (a.family == "cycle") return gen::Cycle(n());
   if (a.family == "star") return gen::Star(n());
   if (a.family == "complete") return gen::Complete(n());
   if (a.family == "bipartite") {
-    return gen::CompleteBipartite(static_cast<NodeId>(a.GetU64("left")),
-                                  static_cast<NodeId>(a.GetU64("right")));
+    return gen::CompleteBipartite(a.GetCount("left"), a.GetCount("right"));
   }
   if (a.family == "tree") return gen::RandomTree(n(), rng);
-  if (a.family == "ba") {
-    return gen::BarabasiAlbert(n(), static_cast<std::uint32_t>(a.GetU64("m")), rng);
-  }
-  if (a.family == "regular") {
-    return gen::NearRegular(n(), static_cast<std::uint32_t>(a.GetU64("d")), rng);
-  }
+  if (a.family == "ba") return gen::BarabasiAlbert(n(), a.GetCount("m"), rng);
+  if (a.family == "regular") return gen::NearRegular(n(), a.GetCount("d"), rng);
   if (a.family == "matching") return gen::MatchingPlusIsolated(n());
   if (a.family == "cliques") {
-    return gen::DisjointCliques(static_cast<NodeId>(a.GetU64("count")),
-                                static_cast<NodeId>(a.GetU64("size")));
+    return gen::DisjointCliques(a.GetCount("count"), a.GetCount("size"));
   }
   if (a.family == "caterpillar") {
-    return gen::Caterpillar(static_cast<NodeId>(a.GetU64("spine")),
-                            static_cast<NodeId>(a.GetU64("legs")));
+    return gen::Caterpillar(a.GetCount("spine"), a.GetCount("legs"));
   }
   if (a.family == "empty") return gen::Empty(n());
   throw PreconditionError("unknown graph family '" + a.family + "'; known: " +

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 namespace emis {
 namespace {
@@ -36,6 +38,39 @@ TEST(Generators, ErdosRenyiRejectsBadProbability) {
   Rng rng(4);
   EXPECT_THROW(gen::ErdosRenyi(10, -0.1, rng), PreconditionError);
   EXPECT_THROW(gen::ErdosRenyi(10, 1.1, rng), PreconditionError);
+}
+
+/// G(n, p) by the same geometric skips as gen::ErdosRenyi, but decoding each
+/// position with a naive walk over all pairs in lexicographic order.
+std::vector<Edge> NaiveErdosRenyiEdges(NodeId n, double p, Rng& rng) {
+  std::vector<Edge> all;
+  for (NodeId u = 0; u < n; ++u)
+    for (NodeId v = u + 1; v < n; ++v) all.push_back({u, v});
+  if (p >= 1.0) return all;
+  std::vector<Edge> picked;
+  std::uint64_t pos = 0;
+  for (;;) {
+    const double draw = std::max(rng.UniformUnit(), 1e-300);
+    const double skip = std::floor(std::log(draw) / std::log1p(-p));
+    if (skip >= static_cast<double>(all.size() - pos)) break;
+    pos += static_cast<std::uint64_t>(skip);
+    picked.push_back(all[pos]);
+    if (++pos >= all.size()) break;
+  }
+  return picked;
+}
+
+TEST(Generators, ErdosRenyiPairDecoderCrossesRowBoundaries) {
+  // High p steps one pair at a time across every row end, including the
+  // one-pair last row; low p jumps over one or several rows per draw.
+  for (const NodeId n : {2u, 3u, 5u, 64u}) {
+    for (const double p : {1.0, 0.999, 0.3, 0.02}) {
+      Rng a(11), b(11);
+      const Graph g = gen::ErdosRenyi(n, p, a);
+      EXPECT_EQ(g.EdgeList(), NaiveErdosRenyiEdges(n, p, b)) << "n=" << n << " p=" << p;
+      EXPECT_EQ(a.NextU64(), b.NextU64()) << "same draws consumed";
+    }
+  }
 }
 
 TEST(Generators, GnMExactCount) {

@@ -3,6 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "radio/graph_generators.hpp"
+#include "radio/graph_io.hpp"
 
 namespace emis {
 namespace {
@@ -187,6 +193,125 @@ TEST(Graph, EdgeListRoundTrips) {
   Graph g2 = Graph::FromEdges(4, g.EdgeList());
   EXPECT_EQ(g2.NumEdges(), g.NumEdges());
   for (const Edge& e : edges) EXPECT_TRUE(g2.HasEdge(e.u, e.v));
+}
+
+// ---------------------------------------------------------------------------
+// CSR identity: the builder's output is pinned byte for byte.
+
+/// FNV-1a over the row offsets, the adjacency array and Δ: any change in how
+/// Build lays out a graph moves it.
+std::uint64_t CsrHash(const Graph& g) {
+  std::uint64_t hash = 0xCBF29CE484222325ULL;
+  auto mix = [&hash](std::uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      hash ^= (x >> (8 * i)) & 0xFF;
+      hash *= 0x100000001B3ULL;
+    }
+  };
+  for (std::uint64_t offset : g.RowOffsets()) mix(offset);
+  for (NodeId w : g.Adjacency()) mix(w);
+  mix(g.MaxDegree());
+  return hash;
+}
+
+void ExpectSameCsr(const Graph& a, const Graph& b) {
+  ASSERT_EQ(a.NumNodes(), b.NumNodes());
+  EXPECT_TRUE(std::ranges::equal(a.RowOffsets(), b.RowOffsets()));
+  EXPECT_TRUE(std::ranges::equal(a.Adjacency(), b.Adjacency()));
+  EXPECT_EQ(a.MaxDegree(), b.MaxDegree());
+}
+
+// Hashes recorded from the global-sort builder this one replaced; every
+// family here must keep building the very same CSR.
+TEST(GraphCsrGolden, SeededSpecsBuildIdenticalCsr) {
+  struct Case {
+    const char* spec;
+    std::uint64_t seed;
+    std::uint64_t hash;
+  };
+  const Case cases[] = {
+      {"er:n=2048,p=0.125", 1, 0x6c2096b6422de251ULL},  // dense, d ~ 256
+      {"er:n=4096,p=0.002", 2, 0xf094987d38a8ea23ULL},  // sparse, d ~ 8
+      {"udg:n=2000,r=0.05", 3, 0xd156d0858f2e312fULL},
+      {"gnm:n=1000,m=5000", 4, 0x4c87ebda4081e369ULL},
+      {"ba:n=1000,m=4", 5, 0x4cce587be1dc3e01ULL},
+      {"regular:n=1000,d=8", 6, 0x0706fd6947815417ULL},
+      {"tree:n=1000", 7, 0x2a6c556096b0cdfcULL},
+      {"grid:rows=30,cols=40", 8, 0x82faee4a08e395fcULL},
+      {"cliques:count=20,size=12", 9, 0x848a24af3d2eaa91ULL},
+  };
+  for (const Case& c : cases) {
+    Rng rng(c.seed);
+    EXPECT_EQ(CsrHash(GraphFromSpec(c.spec, rng)), c.hash) << c.spec;
+  }
+}
+
+TEST(GraphCsrGolden, SquareBuildsIdenticalCsr) {
+  Rng rng(10);
+  const Graph square = gen::ErdosRenyi(500, 0.01, rng).Square();
+  EXPECT_EQ(square.NumEdges(), 7398u);
+  EXPECT_EQ(CsrHash(square), 0xb624d4a24a0b7046ULL);
+}
+
+/// The edges of a seeded random graph, shuffled and randomly oriented.
+/// Each case draws from CounterHash(seed, index), so a failure replays from
+/// its index alone.
+struct ShuffledCase {
+  Graph sorted;
+  std::vector<Edge> edges;
+  Rng rng;
+};
+
+ShuffledCase MakeShuffledCase(std::uint64_t index) {
+  Rng rng(CounterHash(0x5eed, index, 0, 0));
+  const auto n = static_cast<NodeId>(2 + rng.UniformBelow(200));
+  const double p = rng.UniformUnit() * 0.3;
+  Graph sorted = gen::ErdosRenyi(n, p, rng);
+  std::vector<Edge> edges = sorted.EdgeList();
+  for (std::size_t i = edges.size(); i > 1; --i) {
+    std::swap(edges[i - 1], edges[rng.UniformBelow(i)]);
+  }
+  for (Edge& e : edges) {
+    if (rng.Bernoulli(0.5)) std::swap(e.u, e.v);
+  }
+  return {std::move(sorted), std::move(edges), rng};
+}
+
+TEST(GraphCsrProperty, ShuffledOrientedEdgesBuildSortedCsr) {
+  for (std::uint64_t index = 0; index < 200; ++index) {
+    SCOPED_TRACE("case " + std::to_string(index));
+    const ShuffledCase c = MakeShuffledCase(index);
+    ExpectSameCsr(Graph::FromEdges(c.sorted.NumNodes(), c.edges), c.sorted);
+  }
+}
+
+TEST(GraphCsrProperty, DuplicateInEitherOrientationThrowsAtBuild) {
+  for (std::uint64_t index = 0; index < 200; ++index) {
+    SCOPED_TRACE("case " + std::to_string(index));
+    ShuffledCase c = MakeShuffledCase(index);
+    if (c.edges.empty()) continue;
+    Edge dup = c.edges[c.rng.UniformBelow(c.edges.size())];
+    if (c.rng.Bernoulli(0.5)) std::swap(dup.u, dup.v);
+    const auto at = static_cast<std::ptrdiff_t>(c.rng.UniformBelow(c.edges.size() + 1));
+    c.edges.insert(c.edges.begin() + at, dup);
+    GraphBuilder builder(c.sorted.NumNodes());
+    for (const Edge& e : c.edges) builder.AddEdge(e.u, e.v);
+    EXPECT_THROW(std::move(builder).Build(), PreconditionError);
+  }
+}
+
+TEST(GraphCsrProperty, AddEdgeDedupBuildsSortedCsr) {
+  for (std::uint64_t index = 0; index < 200; ++index) {
+    SCOPED_TRACE("case " + std::to_string(index));
+    ShuffledCase c = MakeShuffledCase(index);
+    GraphBuilder builder(c.sorted.NumNodes());
+    for (const Edge& e : c.edges) {
+      builder.AddEdgeDedup(e.u, e.v);
+      // Repeat about a third of the edges, in a random orientation.
+      if (c.rng.UniformBelow(3) == 0) builder.AddEdgeDedup(e.v, e.u);
+    }
+    ExpectSameCsr(std::move(builder).Build(), c.sorted);
+  }
 }
 
 }  // namespace

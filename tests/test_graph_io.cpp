@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "radio/graph_generators.hpp"
 
@@ -62,6 +63,10 @@ TEST(GraphIo, RejectsMalformedInput) {
     std::istringstream in("x 1\n");  // not a number
     EXPECT_THROW(ReadEdgeList(in), PreconditionError);
   }
+  {
+    std::istringstream in("4294967295 0\n");  // n == kInvalidNode, the sentinel
+    EXPECT_THROW(ReadEdgeList(in), PreconditionError);
+  }
 }
 
 TEST(GraphSpec, BuildsEveryFamily) {
@@ -93,6 +98,26 @@ TEST(GraphSpec, RejectsBadSpecs) {
   EXPECT_THROW(GraphFromSpec("path:n=x", rng), PreconditionError);
   EXPECT_THROW(GraphFromSpec("grid:rows=3", rng), PreconditionError);  // missing cols
   EXPECT_THROW(GraphFromSpec("er:n=5 p=1", rng), PreconditionError);   // not k=v
+  // Counts that do not fit below kInvalidNode are refused, not truncated.
+  for (const char* spec :
+       {"er:n=4294967298,p=1", "er:n=4294967295,p=0", "path:n=18446744073709551615",
+        "ba:n=10,m=4294967297", "regular:n=10,d=4294967298", "grid:rows=4294967297,cols=1",
+        "grid:rows=65536,cols=65536", "cliques:count=65536,size=65536",
+        "caterpillar:spine=65536,legs=65535", "bipartite:left=2147483648,right=2147483648"}) {
+    EXPECT_THROW(GraphFromSpec(spec, rng), PreconditionError) << spec;
+  }
+  try {
+    (void)GraphFromSpec("er:n=4294967298,p=1", rng);
+    ADD_FAILURE() << "oversized n accepted";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("'n'"), std::string::npos) << e.what();
+  }
+  try {
+    (void)GraphFromSpec("grid:rows=65536,cols=65536", rng);
+    ADD_FAILURE() << "oversized grid accepted";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("rows*cols"), std::string::npos) << e.what();
+  }
 }
 
 TEST(GraphSpec, DeterministicGivenRng) {
