@@ -36,8 +36,8 @@ inline obs::JsonValue g_sweeps = obs::JsonValue::MakeArray();
 /// Bench-wide metrics: RunTimedSweep merges every sweep's worker shards into
 /// this registry (unless the config routes them elsewhere), and Footer()
 /// serializes it as the bench report's required "metrics" sub-document —
-/// chan.live_edges / graph.compactions and the rest of the scheduler's
-/// telemetry accumulate across the whole binary.
+/// the chan.* cost counters and the rest of the scheduler's telemetry
+/// accumulate across the whole binary.
 inline obs::MetricsRegistry& Metrics() {
   static obs::MetricsRegistry registry;
   return registry;
@@ -100,18 +100,6 @@ inline ExecutionEngine Engine(ExecutionEngine fallback) {
   return e;
 }
 
-/// Residual-compaction override for the benches' sweeps: the value of
-/// EMIS_BENCH_COMPACTION (on|off) when set, else the config's own. A cost
-/// knob only — sweep points are bit-identical on or off.
-inline bool Compaction(bool fallback) {
-  const char* env = std::getenv("EMIS_BENCH_COMPACTION");
-  if (env == nullptr || env[0] == '\0') return fallback;
-  const std::string text(env);
-  EMIS_REQUIRE(text == "on" || text == "off",
-               "EMIS_BENCH_COMPACTION must be on or off (got '" + text + "')");
-  return text == "on";
-}
-
 /// Registry injected into sweeps that did not bring their own: the
 /// process-global Metrics() (feeding the BENCH_*.json "metrics" block)
 /// unless EMIS_BENCH_METRICS=off, which returns null so perf-sensitive legs
@@ -141,7 +129,6 @@ inline TimedSweep RunTimedSweep(const SweepConfig& cfg) {
   TimedSweep out;
   SweepConfig directed = cfg;
   directed.resolution = Resolution(cfg.resolution);
-  directed.compaction = Compaction(cfg.compaction);
   directed.engine = Engine(cfg.engine);
   if (directed.metrics == nullptr) directed.metrics = BenchMetrics();
   out.points = RunSweep(directed, Jobs(), &out.info);

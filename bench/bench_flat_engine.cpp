@@ -8,7 +8,7 @@
 //     the chan.edges_scanned cross-check: identical scan work proves the
 //     speedup is pure dispatch, not a different (cheaper) round schedule;
 //   * throughput — full RunMis at n = 2^20 (override with EMIS_BENCH_N) on
-//     a degree-256 G(n,p), push accounting, compaction on: the flat engine
+//     a degree-256 G(n,p), push accounting: the flat engine
 //     must sustain >= 1.8x coroutine throughput at the calibrated size
 //     (measured ~2x: adaptive physical resolution + the AVX2 word-scan
 //     kernel cut channel time ~3x, and the SoA lanes cut resume time; what

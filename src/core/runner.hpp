@@ -107,8 +107,8 @@ struct MisRunConfig {
   /// Channel resolution direction (cost knob only — receptions and the MIS
   /// are identical in every mode). See SchedulerConfig::resolution.
   ChannelResolution resolution = ChannelResolution::kAuto;
-  /// Residual-graph compaction (cost/memory knob only — receptions and the
-  /// MIS are identical either way). See SchedulerConfig::compaction.
+  /// Ignored: residual compaction was removed; kept only so
+  /// `emisbench/adapter.cpp` compiles until the benchmark harness drops it.
   bool compaction = true;
 
   /// Optional observability (src/obs/): a metrics registry fed by the

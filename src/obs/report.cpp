@@ -82,7 +82,7 @@ JsonValue PhasesJson(const PhaseTimeline& timeline) {
 }
 
 /// Prometheus metric-name mangling: `emis_` prefix, non-alphanumerics
-/// folded to '_' ("chan.live_edges" -> "emis_chan_live_edges").
+/// folded to '_' ("chan.edges_scanned" -> "emis_chan_edges_scanned").
 std::string PromName(std::string_view name) {
   std::string out = "emis_";
   for (const char c : name) {

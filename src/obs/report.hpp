@@ -32,9 +32,9 @@
 //   alloc    {arena_reserved_bytes, arena_used_bytes, peak_rss_bytes}
 //   metrics  {counters{}, gauges{}, timers{name:{count,total_ns,mean_ns,
 //             max_ns}}, histograms{name:{bounds[], counts[], sum}}}
-//            Scheduler-fed names include the residual-compaction telemetry:
-//            counters graph.compactions / graph.edges_reclaimed and the
-//            gauge chan.live_edges (see SchedulerConfig::metrics).
+//            Scheduler-fed names include the channel cost counters
+//            chan.push_rounds / chan.pull_rounds / chan.edges_scanned
+//            (see SchedulerConfig::metrics).
 //
 // Schema emis-bench-report/1:
 //   schema   "emis-bench-report/1"

@@ -15,7 +15,7 @@
 // Event vocabulary (all events carry "event"; the opening envelope carries
 // "schema"):
 //   run_begin   {schema, event, algorithm?, graph?, seed?, nodes?, edges?}
-//   round       {event, round, awake, decided, finished, live_edges}
+//   round       {event, round, awake, decided, finished}
 //   phase       {event, label, level, begin_round, end_round, rounds,
 //                transmit_rounds, listen_rounds[, residual_edges_begin,
 //                residual_edges_end]}   — one per closed span; the

@@ -20,24 +20,17 @@
 // stream state. Both directions therefore see byte-identical erasures, and
 // lossy sweeps stay bit-identical across job counts and resolution modes.
 //
-// Residual compaction (AttachResidual): when a ResidualGraph overlay is
-// attached, both directions scan its live row prefixes instead of full CSR
-// rows, so per-round cost tracks live edges. Correctness relies on the
-// retirement contract (a retired node never transmits or listens again):
-//   * push — a live listener adjacent to transmitter u has a live edge to u,
-//     so it appears in u's prefix; deliveries to dead prefix entries write
-//     buffers nobody will read.
-//   * pull — a retired prefix entry can never satisfy tx_mark_[u] == epoch_,
-//     because it never transmits again.
-//
-// Payload tie-break (pinned contract, see test_residual_compaction.cpp):
+// Payload tie-break (pinned contract, see test_channel_direction.cpp):
 // when a listener hears ≥ 2 surviving transmitters, the pull scan keeps the
 // LAST transmitting neighbor in row order while the push path keeps the
 // FIRST delivered. The divergence is unobservable: Perceive() only surfaces
 // a payload when the surviving count is exactly 1 (CD/no-CD collisions
-// report payload 0 or silence; beeps are contentless). Residual compaction
-// preserves even the internal order — it is a stable partition, so
-// surviving entries keep their relative CSR position.
+// report payload 0 or silence; beeps are contentless).
+//
+// Retired nodes stay in the static CSR rows; the retirement contract (a
+// retired node never transmits or listens again) keeps them inert: a push
+// delivery to one writes a buffer nobody reads, and a pull scan never finds
+// one in the transmitter set.
 #pragma once
 
 #include <cstdint>
@@ -66,14 +59,6 @@ class Channel {
         tx_words_((static_cast<std::size_t>(graph.NumNodes()) + 63) / 64) {}
 
   ChannelModel Model() const noexcept { return model_; }
-
-  /// Attaches a residual overlay (owned by the scheduler, must outlive the
-  /// channel or be detached with nullptr): scans iterate its live row
-  /// prefixes instead of full CSR rows. Receptions are identical with or
-  /// without an overlay — this is purely a cost knob.
-  void AttachResidual(const ResidualGraph* residual) noexcept {
-    residual_ = residual;
-  }
 
   /// Enables per-link fading: every (transmitter, listener) signal is
   /// independently erased with probability `loss` each round. An erased
@@ -123,7 +108,7 @@ class Channel {
     }
     word.bits |= 1ULL << (u & 63);
     if (direction_ == ChannelDirection::kPull) return;  // resolved lazily
-    const auto nbrs = ScanRow(u);
+    const auto nbrs = graph_->Neighbors(u);
     if (loss_ > 0.0) {
       for (NodeId w : nbrs) {
         if (!LinkErased(epoch_, u, w, loss_seed_, loss_)) Deliver(w, payload);
@@ -248,12 +233,6 @@ class Channel {
     std::uint64_t payload = 0;
   };
 
-  /// The entries a scan must visit for v: the residual live prefix when an
-  /// overlay is attached, else the full CSR row. Sorted ascending either way.
-  std::span<const NodeId> ScanRow(NodeId v) const {
-    return residual_ != nullptr ? residual_->ScanRow(v) : graph_->Neighbors(v);
-  }
-
   /// Rows at least this long resolve pull-side via the packed word bitset:
   /// 64 candidate ids per 16-byte probe instead of one 8-byte tx_mark_ load
   /// per neighbor. Below it the plain scan's simpler loop wins. Receptions
@@ -265,7 +244,7 @@ class Channel {
   /// the LAST transmitting row entry's payload — unobservable unless the
   /// surviving count is exactly 1 (see the tie-break note atop this file).
   Heard ScanTransmittingNeighbors(NodeId v) const {
-    const std::span<const NodeId> row = ScanRow(v);
+    const std::span<const NodeId> row = graph_->Neighbors(v);
     if (row.size() >= kWordScanMinRow) return ScanRowByWords(v, row);
     Heard h;
     if (loss_ > 0.0) {
@@ -355,7 +334,6 @@ class Channel {
   }
 
   const Graph* graph_;
-  const ResidualGraph* residual_ = nullptr;
   ChannelModel model_;
   ChannelDirection direction_ = ChannelDirection::kPush;
   double loss_ = 0.0;

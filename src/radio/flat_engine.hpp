@@ -8,7 +8,7 @@
 // contiguous SoA-style vector) and a Step() that advances the node's state
 // machine in place. The scheduler is otherwise unchanged: the same wake
 // wheel, the same two-phase channel resolution, the same energy meter,
-// trace sink, timeline, and Retire() compaction.
+// trace sink, timeline, and Retire() bookkeeping.
 //
 // Equivalence contract (pinned by tests/test_flat_engine.cpp): a flat
 // machine must file the *same actions in the same rounds*, consume its

@@ -29,68 +29,6 @@ Graph Graph::FromMappedCsr(std::shared_ptr<const void> owner,
   return g;
 }
 
-ResidualGraph::ResidualGraph(const Graph& graph)
-    : rows_(graph.NumNodes()),
-      active_((static_cast<std::size_t>(graph.NumNodes()) + 63) / 64, 0),
-      live_edges_(graph.NumEdges()),
-      active_count_(graph.NumNodes()) {
-  adjacency_.reserve(2 * graph.NumEdges());
-  for (NodeId v = 0; v < graph.NumNodes(); ++v) {
-    const auto nbrs = graph.Neighbors(v);
-    rows_[v].begin = adjacency_.size();
-    rows_[v].scan_len = static_cast<std::uint32_t>(nbrs.size());
-    rows_[v].live_degree = rows_[v].scan_len;
-    adjacency_.insert(adjacency_.end(), nbrs.begin(), nbrs.end());
-    active_[v >> 6] |= 1ULL << (v & 63);
-  }
-}
-
-void ResidualGraph::Retire(NodeId v) {
-  EMIS_REQUIRE(v < NumNodes(), "node out of range");
-  EMIS_REQUIRE(Active(v), "node retired twice");
-  active_[v >> 6] &= ~(1ULL << (v & 63));
-  --active_count_;
-  live_edges_ -= rows_[v].live_degree;
-  const std::uint64_t begin = rows_[v].begin;
-  const std::uint32_t len = rows_[v].scan_len;
-  for (std::uint32_t i = 0; i < len; ++i) {
-    // The row walk itself is sequential, but the per-neighbor counter
-    // update is a dependent random access (this loop runs ~2|E| times over
-    // a full run); pulling the neighbor's interleaved RowMeta a few
-    // entries ahead overlaps the misses.
-    if (i + 8 < len) {
-      __builtin_prefetch(&rows_[adjacency_[begin + i + 8]], /*rw=*/1,
-                         /*locality=*/1);
-    }
-    const NodeId w = adjacency_[begin + i];
-    if (!Active(w)) continue;  // dead prefix entry, already accounted
-    RowMeta& row = rows_[w];
-    --row.live_degree;
-    // Dead fraction crossed ½ (v is in w's prefix and just died, so the row
-    // strictly shrinks): stable-compact survivors to the prefix.
-    if (row.live_degree * 2ULL <= row.scan_len) CompactRow(w);
-  }
-  // v's own row leaves the scan set entirely.
-  edges_reclaimed_ += len;
-  rows_[v].scan_len = 0;
-  rows_[v].live_degree = 0;
-}
-
-void ResidualGraph::CompactRow(NodeId w) {
-  RowMeta& row = rows_[w];
-  const std::uint64_t begin = row.begin;
-  const std::uint32_t len = row.scan_len;
-  std::uint32_t out = 0;
-  for (std::uint32_t i = 0; i < len; ++i) {
-    const NodeId u = adjacency_[begin + i];
-    if (Active(u)) adjacency_[begin + out++] = u;
-  }
-  EMIS_ASSERT(out == row.live_degree, "live-degree counter out of sync with row");
-  edges_reclaimed_ += len - out;
-  row.scan_len = out;
-  ++compactions_;
-}
-
 bool Graph::HasEdge(NodeId u, NodeId v) const {
   EMIS_REQUIRE(u < NumNodes() && v < NumNodes(), "node out of range");
   if (u == v) return false;

@@ -12,7 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "radio/size_budget.hpp"
 #include "radio/types.hpp"
 
 namespace emis {
@@ -143,99 +142,6 @@ class Graph {
 struct InducedSubgraph {
   Graph graph;
   std::vector<NodeId> to_original;  // subgraph id -> original id
-};
-
-/// Mutable residual view over an immutable Graph: which nodes are still live
-/// (may yet transmit or listen) plus, per node, a shrinking "scan row" that
-/// the channel iterates instead of the full CSR row.
-///
-/// The scheduler retires a node once it reaches a terminal MIS decision
-/// (joined / killed) or its protocol coroutine finishes. Retire(v):
-///   * clears v's active bit and reclaims v's own row,
-///   * decrements the live-degree of each of v's live neighbors, and
-///   * compacts a neighbor's row in place once its dead fraction crosses ½
-///     (survivors are shifted to the row prefix).
-/// Channel scans then cost O(live prefix) per node instead of O(deg_G), so
-/// per-round work tracks the residual graph that Lemma 5 / Lemma 20 argue
-/// shrinks geometrically per Luby phase, not the seed graph.
-///
-/// Invariants:
-///   * ScanRow(v) contains every live neighbor of a live v; dead entries in
-///     the prefix never exceed the live ones (the ½ trigger).
-///   * Compaction is a *stable* partition: surviving entries keep their
-///     relative (sorted, ascending) CSR order. The pull channel resolves
-///     payload ties by last-scanned row entry, so stability keeps that
-///     tie-break independent of when rows were compacted (see channel.hpp).
-///   * Amortized compaction work over a whole run is O(E): a row of length L
-///     is only rewritten after ≥ L/2 of its entries died since it last
-///     shrank.
-class ResidualGraph {
- public:
-  /// Starts with every node live and every row at its full CSR length. The
-  /// adjacency is copied (it is compacted in place); `graph` itself is only
-  /// read during construction.
-  explicit ResidualGraph(const Graph& graph);
-
-  NodeId NumNodes() const noexcept {
-    return static_cast<NodeId>(rows_.size());
-  }
-
-  /// Whether v may still act on the channel.
-  bool Active(NodeId v) const noexcept {
-    return ((active_[v >> 6] >> (v & 63)) & 1u) != 0;
-  }
-
-  /// Number of still-live neighbors of v (0 once v itself retired).
-  std::uint32_t LiveDegree(NodeId v) const noexcept {
-    return rows_[v].live_degree;
-  }
-
-  /// The entries a channel scan must visit for v: the live prefix of its CSR
-  /// row, sorted ascending. Contains all live neighbors plus at most an
-  /// equal number of dead ones. Empty once v retired.
-  std::span<const NodeId> ScanRow(NodeId v) const noexcept {
-    const RowMeta& row = rows_[v];
-    return {adjacency_.data() + row.begin, row.scan_len};
-  }
-
-  /// Permanently removes v from the residual graph. v must still be active;
-  /// the caller (Scheduler::Retire) guarantees v never transmits or listens
-  /// afterwards.
-  void Retire(NodeId v);
-
-  /// Edges whose endpoints are both still active.
-  std::uint64_t LiveEdges() const noexcept { return live_edges_; }
-  NodeId ActiveCount() const noexcept { return active_count_; }
-
-  /// Telemetry: row compactions performed and directed CSR entries removed
-  /// from scan rows so far (each entry counted once; ≤ 2E over a run).
-  std::uint64_t Compactions() const noexcept { return compactions_; }
-  std::uint64_t EdgesReclaimed() const noexcept { return edges_reclaimed_; }
-
- private:
-  /// Stable in-place partition of w's scan row: survivors to the prefix.
-  void CompactRow(NodeId w);
-
-  /// Per-node row metadata, interleaved so the three fields every consumer
-  /// reads together (ScanRow's begin+len, Retire's len+degree) land on one
-  /// cache line per node instead of three parallel-array lines. Channel
-  /// scans and retire-compaction both key this by *neighbor* id — a random
-  /// access — so the interleave halves their miss traffic (size pinned in
-  /// size_budget.hpp / tests/test_layout.cpp).
-  struct RowMeta {
-    std::uint64_t begin = 0;        // CSR row start
-    std::uint32_t scan_len = 0;     // live-prefix length
-    std::uint32_t live_degree = 0;  // live neighbors
-  };
-  static_assert(sizeof(RowMeta) == kResidualRowBytes,
-                "row metadata outgrew its line budget (size_budget.hpp)");
-  std::vector<RowMeta> rows_;
-  std::vector<NodeId> adjacency_;  // mutable CSR copy
-  std::vector<std::uint64_t> active_;       // node bitset, 64 nodes per word
-  std::uint64_t live_edges_ = 0;
-  NodeId active_count_ = 0;
-  std::uint64_t compactions_ = 0;
-  std::uint64_t edges_reclaimed_ = 0;
 };
 
 /// Incremental construction helper used by the generators.

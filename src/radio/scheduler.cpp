@@ -32,10 +32,6 @@ Scheduler::Scheduler(const Graph& graph, SchedulerConfig config, std::uint64_t s
   if (config.link_loss > 0.0) {
     channel_.SetLoss(config.link_loss, seed ^ 0x10ad10ad10ad10adULL);
   }
-  if (config_.compaction) {
-    residual_.emplace(graph);
-    channel_.AttachResidual(&*residual_);
-  }
   if (config_.ledger != nullptr) {
     EMIS_EXPECTS(config_.ledger->NumNodes() == graph.NumNodes(),
                  "energy ledger sized for a different graph");
@@ -81,9 +77,6 @@ Scheduler::Scheduler(const Graph& graph, SchedulerConfig config, std::uint64_t s
     push_rounds_ = &config_.metrics->GetCounter("chan.push_rounds");
     pull_rounds_ = &config_.metrics->GetCounter("chan.pull_rounds");
     edges_scanned_ = &config_.metrics->GetCounter("chan.edges_scanned");
-    compactions_metric_ = &config_.metrics->GetCounter("graph.compactions");
-    edges_reclaimed_metric_ = &config_.metrics->GetCounter("graph.edges_reclaimed");
-    live_edges_metric_ = &config_.metrics->GetGauge("chan.live_edges");
     arena_reserved_ = &config_.metrics->GetGauge("arena.bytes_reserved");
     arena_used_ = &config_.metrics->GetGauge("arena.bytes_used");
     merge_words_metric_ = &config_.metrics->GetGauge("chan.merge_words");
@@ -210,7 +203,6 @@ void Scheduler::Retire(NodeId v) {
   if (hot.Retired()) return;  // idempotent: finishing also implies retirement
   hot.MarkRetired();  // sets retired, clears any pending retire request
   ++retired_;
-  if (residual_.has_value()) residual_->Retire(v);
 }
 
 void Scheduler::ResumeAndFile(NodeId v, std::vector<NodeId>& actors,
@@ -341,16 +333,12 @@ void Scheduler::MigrateOverflow() {
 }
 
 ChannelDirection Scheduler::ChooseDirection() {
-  // Live degrees when the residual overlay is on: as the residual shrinks,
-  // the cost model keeps tracking the work a direction will actually do,
-  // so auto direction choices improve over the run.
   std::uint64_t tx_edges = 0;
   std::uint64_t listen_edges = 0;
   for (NodeId v : actors_) {
     const HotNodeContext& hot = ctx_hot_[v];
     EMIS_INVARIANT(hot.now == now_, "actor scheduled for wrong round");
-    const std::uint64_t cost =
-        residual_.has_value() ? residual_->LiveDegree(v) : graph_->Degree(v);
+    const std::uint64_t cost = graph_->Degree(v);
     if (hot.Pending() == ActionKind::kTransmit) {
       tx_edges += cost;
     } else {
@@ -548,7 +536,7 @@ void Scheduler::ExecuteRoundSharded() {
 
   // Phase 3: parallel per-shard protocol steps, then a serial filing pass in
   // global actor order — filing mutates cross-node state (finished_, the
-  // wheel, residual compaction) whose order the goldens pin. Timeline runs
+  // wheel, the retired count) whose order the goldens pin. Timeline runs
   // keep the serial reference resume (annotations mutate shared state
   // inside Step).
   const obs::ScopedTimer timing(resume_timer_);
@@ -589,9 +577,6 @@ void Scheduler::EmitHeartbeat() {
   event.Set("awake", obs::JsonValue(static_cast<std::uint64_t>(actors_.size())));
   event.Set("decided", obs::JsonValue(static_cast<std::uint64_t>(retired_)));
   event.Set("finished", obs::JsonValue(static_cast<std::uint64_t>(finished_)));
-  event.Set("live_edges",
-            obs::JsonValue(residual_.has_value() ? residual_->LiveEdges()
-                                                 : graph_->NumEdges()));
   config_.telemetry->Emit(event);
 }
 
@@ -699,14 +684,6 @@ RunStats Scheduler::RunUntil(Round limit) {
     mem_hot_metric_->Set(n * static_cast<double>(sizeof(HotNodeContext)));
     mem_cold_metric_->Set(n * static_cast<double>(sizeof(ColdNodeContext)));
     mem_lane_metric_->Set(n * static_cast<double>(flat_lanes_.stride));
-  }
-  if (live_edges_metric_ != nullptr && residual_.has_value()) {
-    live_edges_metric_->Set(static_cast<double>(residual_->LiveEdges()));
-    compactions_metric_->Inc(residual_->Compactions() - compactions_flushed_);
-    compactions_flushed_ = residual_->Compactions();
-    edges_reclaimed_metric_->Inc(residual_->EdgesReclaimed() -
-                                 edges_reclaimed_flushed_);
-    edges_reclaimed_flushed_ = residual_->EdgesReclaimed();
   }
 
   RunStats stats;

@@ -8,14 +8,13 @@
 // the energy the paper studies — plus O(1) amortized calendar-wheel work
 // per sleep (a 4096-slot ring over the near future with a compacting
 // overflow list; drained buckets are sorted so the pop order matches the
-// binary heap it replaced). Channel work per round additionally tracks the
-// *residual* graph, not the seed graph: protocols Retire() when decided,
-// and the ResidualGraph overlay compacts their rows away (DESIGN.md §9).
+// binary heap it replaced). Channel scans read the static CSR rows;
+// protocols Retire() when decided, which arms the acting-after-retirement
+// invariant (DESIGN.md §9).
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "obs/energy_ledger.hpp"
@@ -54,23 +53,14 @@ struct SchedulerConfig {
   /// ties to push); kPush/kPull force one direction. Receptions are
   /// identical in all three modes — this is purely a cost knob.
   ChannelResolution resolution = ChannelResolution::kAuto;
-  /// Residual-graph compaction: nodes that reach a terminal decision (via
-  /// NodeApi::Retire / Scheduler::Retire, or simply by finishing their
-  /// protocol) are dropped from channel scan rows, and a CSR row is
-  /// compacted in place once half its entries are dead — per-round channel
-  /// cost then tracks *live* edges instead of seed edges, and the
-  /// ChooseDirection cost model sums live degrees. Receptions are
-  /// bit-identical with compaction on or off (retired nodes never act
-  /// again), so this is purely a cost/memory knob; off skips the adjacency
-  /// copy.
+  /// Ignored: residual compaction was removed; kept only so
+  /// `emisbench/adapter.cpp` compiles until the benchmark harness drops it.
   bool compaction = true;
   /// Optional metrics registry (owned by the caller). When set, the
   /// scheduler feeds hot-path timers ("sched.execute_round", "sched.resume",
   /// "sched.wake_heap"), counters ("sched.rounds_executed",
   /// "sched.rounds_skipped", "sched.wake_events", "chan.push_rounds",
-  /// "chan.pull_rounds", "chan.edges_scanned", "graph.compactions",
-  /// "graph.edges_reclaimed"), the residual gauge ("chan.live_edges"),
-  /// arena gauges ("arena.bytes_reserved", "arena.bytes_used"), and
+  /// "chan.pull_rounds", "chan.edges_scanned"), arena gauges ("arena.bytes_reserved", "arena.bytes_used"), and
   /// working-set gauges ("mem.context_hot_bytes", "mem.context_cold_bytes",
   /// "mem.lane_bytes" — the resume loop's per-array footprints, see
   /// DESIGN.md §12.2) — cheap enough to keep on in perf runs (see
@@ -95,8 +85,8 @@ struct SchedulerConfig {
   ExecutionEngine engine = ExecutionEngine::kCoroutine;
   /// Optional streaming telemetry sink (owned by the caller). The scheduler
   /// emits a `round` heartbeat per executed round (cadence
-  /// StreamSinkConfig::heartbeat_every) with awake/decided/finished/
-  /// live-edge gauges, and — when `timeline` is also set — a `phase` event
+  /// StreamSinkConfig::heartbeat_every) with awake/decided/finished
+  /// gauges, and — when `timeline` is also set — a `phase` event
   /// per closed span carrying the span's attribution delta.
   obs::StreamSink* telemetry = nullptr;
   /// Intra-run shard count for the flat engine: the node range is cut into
@@ -114,8 +104,7 @@ struct SchedulerConfig {
 /// cost model is unit-testable in isolation: forced resolutions win
 /// unconditionally; kAuto resolves on the cheaper side with ties to push,
 /// whose per-edge work (stamped delivery) is slightly lighter than the
-/// pull-side scan. The edge sums are live degrees when compaction is on,
-/// static degrees otherwise.
+/// pull-side scan. The edge sums are static CSR degrees.
 constexpr ChannelDirection ResolveDirection(ChannelResolution resolution,
                                             std::uint64_t tx_edges,
                                             std::uint64_t listen_edges) noexcept {
@@ -169,24 +158,19 @@ class Scheduler {
   /// that inspect state at phase boundaries.
   RunStats RunUntil(Round limit);
 
-  /// Permanently removes node v from the radio: its residual-graph entry is
-  /// reclaimed (neighbors' live scan rows shrink) and it must never transmit
-  /// or listen again — enforced by an invariant on action filing. Idempotent.
+  /// Permanently removes node v from the radio: it must never transmit or
+  /// listen again — enforced by an invariant on action filing. Idempotent.
   /// Called automatically when a protocol coroutine finishes and on
   /// NodeApi::Retire requests; also callable directly by drivers that know a
-  /// node is done. A no-op cost-wise when compaction is off (the flag is
-  /// still set, keeping the acting-after-retirement invariant armed).
+  /// node is done. Retired nodes are the telemetry's "decided" count.
   void Retire(NodeId v);
 
   bool AllFinished() const noexcept { return finished_ == graph_->NumNodes(); }
+  /// Nodes retired so far (decided via Retire, or finished).
+  NodeId RetiredCount() const noexcept { return retired_; }
   Round Now() const noexcept { return now_; }
   const EnergyMeter& Energy() const noexcept { return energy_; }
   const Graph& Topology() const noexcept { return *graph_; }
-
-  /// The residual overlay; null when compaction is off.
-  const ResidualGraph* Residual() const noexcept {
-    return residual_.has_value() ? &*residual_ : nullptr;
-  }
 
   /// Allocation footprint of this scheduler's coroutine-frame arena.
   const FrameArena::Stats& ArenaStats() const noexcept { return arena_.GetStats(); }
@@ -208,9 +192,8 @@ class Scheduler {
   /// mirror) if it acts in round ctx.now, into the wake wheel if it sleeps;
   /// detects completion and retires. Split from ResumeAndFile so sharded
   /// rounds can step nodes in parallel and then file serially in global
-  /// actor order — filing mutates cross-node state (finished_, the residual
-  /// overlay's compaction counters, the wheel), whose mutation order the
-  /// trace/report goldens pin.
+  /// actor order — filing mutates cross-node state (finished_, the retired
+  /// count, the wheel), whose mutation order the trace/report goldens pin.
   void FileAction(NodeId v, std::vector<NodeId>& actors,
                   std::vector<std::vector<NodeId>>* by_shard);
 
@@ -291,9 +274,6 @@ class Scheduler {
 
   const Graph* graph_;
   SchedulerConfig config_;
-  // Engaged when config.compaction; declared before channel_ so the
-  // channel's overlay pointer is never dangling during destruction.
-  std::optional<ResidualGraph> residual_;
   Channel channel_;
   EnergyMeter energy_;
 
@@ -393,9 +373,6 @@ class Scheduler {
   obs::Counter* push_rounds_ = nullptr;
   obs::Counter* pull_rounds_ = nullptr;
   obs::Counter* edges_scanned_ = nullptr;
-  obs::Counter* compactions_metric_ = nullptr;
-  obs::Counter* edges_reclaimed_metric_ = nullptr;
-  obs::Gauge* live_edges_metric_ = nullptr;
   obs::Gauge* arena_reserved_ = nullptr;
   obs::Gauge* arena_used_ = nullptr;
   obs::Gauge* merge_words_metric_ = nullptr;
@@ -403,9 +380,6 @@ class Scheduler {
   obs::Gauge* mem_hot_metric_ = nullptr;
   obs::Gauge* mem_cold_metric_ = nullptr;
   obs::Gauge* mem_lane_metric_ = nullptr;
-  // RunUntil may be called repeatedly; counters flush deltas against these.
-  std::uint64_t compactions_flushed_ = 0;
-  std::uint64_t edges_reclaimed_flushed_ = 0;
 };
 
 }  // namespace emis

@@ -28,11 +28,6 @@ inline constexpr std::size_t kColdContextBytes = 88;
 /// NodeContext: the two-pointer hot/cold view handed to protocols.
 inline constexpr std::size_t kContextViewBytes = 16;
 
-/// ResidualGraph::RowMeta: per-node row begin/scan-length/live-degree,
-/// interleaved so channel scans and retire-compaction touch one random
-/// line per neighbor instead of three parallel-array lines.
-inline constexpr std::size_t kResidualRowBytes = 16;
-
 // Flat protothread lanes (core/flat_mis.cpp). A lane holds everything one
 // node's state machine keeps alive across yields; the scheduler prefetches
 // lanes by the stride FlatProtocol::Lanes() publishes, so these budgets are

@@ -70,8 +70,8 @@ struct SweepConfig {
   /// Channel resolution direction for every trial (cost knob only; points
   /// are bit-identical across modes). `tweak` runs later and may override.
   ChannelResolution resolution = ChannelResolution::kAuto;
-  /// Residual-graph compaction for every trial (cost knob only; points are
-  /// bit-identical on or off). `tweak` runs later and may override.
+  /// Ignored: residual compaction was removed; kept only so
+  /// `emisbench/adapter.cpp` compiles until the benchmark harness drops it.
   bool compaction = true;
   /// Execution backend for every trial (cost knob only; points are
   /// bit-identical across engines). `tweak` runs later and may override.

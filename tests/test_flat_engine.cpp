@@ -2,11 +2,11 @@
 // observationally identical to the coroutine reference. Properties checked:
 //   * RunMis fingerprints (decisions, rounds, energy totals, full trace
 //     hash) match the coroutine engine for every MIS core across
-//     loss {0, 0.1} x resolution {auto, push, pull} x compaction {on, off};
+//     loss {0, 0.1} x resolution {auto, push, pull};
 //   * the algorithms outside the 5-core matrix (beeping, naive no-CD Luby,
 //     unknown-Δ doubling) match on a representative config each;
 //   * the flat engine reproduces the *pinned* golden trace hashes of
-//     tests/test_residual_compaction.cpp — equivalence to the frozen
+//     tests/test_channel_direction.cpp — equivalence to the frozen
 //     behavior, not merely to today's coroutine build;
 //   * emis-run-report/1 documents (metrics, phases, energy attribution)
 //     are bit-identical across engines once the wall-clock timers and the
@@ -38,7 +38,7 @@ namespace emis {
 namespace {
 
 /// FNV-1a over every traced action and reception (the pattern pinned in
-/// test_residual_compaction.cpp) — any divergence in who acted, what was
+/// test_channel_direction.cpp) — any divergence in who acted, what was
 /// heard, or which payload was decoded changes the hash.
 class HashTrace final : public TraceSink {
  public:
@@ -74,7 +74,7 @@ struct RunFingerprint {
 
 RunFingerprint Fingerprint(const Graph& g, ExecutionEngine engine,
                            MisAlgorithm algorithm, double loss,
-                           ChannelResolution resolution, bool compaction) {
+                           ChannelResolution resolution) {
   HashTrace trace;
   MisRunConfig cfg;
   cfg.algorithm = algorithm;
@@ -83,7 +83,6 @@ RunFingerprint Fingerprint(const Graph& g, ExecutionEngine engine,
   cfg.trace = &trace;
   cfg.link_loss = loss;
   cfg.resolution = resolution;
-  cfg.compaction = compaction;
   const MisRunResult r = RunMis(g, cfg);
   EXPECT_TRUE(r.Valid() || loss > 0.0);
   return {r.status, r.stats.rounds_used, r.energy.TotalAwake(),
@@ -105,16 +104,13 @@ TEST(FlatEngine, MatchesCoroutineAcrossCoreMatrix) {
       for (ChannelResolution resolution :
            {ChannelResolution::kAuto, ChannelResolution::kPush,
             ChannelResolution::kPull}) {
-        for (bool compaction : {true, false}) {
-          const RunFingerprint reference =
-              Fingerprint(g, ExecutionEngine::kCoroutine, algorithm, loss,
-                          resolution, compaction);
-          const RunFingerprint flat = Fingerprint(
-              g, ExecutionEngine::kFlat, algorithm, loss, resolution, compaction);
-          EXPECT_EQ(flat, reference)
-              << ToString(algorithm) << " loss " << loss << " resolution "
-              << static_cast<int>(resolution) << " compaction " << compaction;
-        }
+        const RunFingerprint reference = Fingerprint(
+            g, ExecutionEngine::kCoroutine, algorithm, loss, resolution);
+        const RunFingerprint flat =
+            Fingerprint(g, ExecutionEngine::kFlat, algorithm, loss, resolution);
+        EXPECT_EQ(flat, reference)
+            << ToString(algorithm) << " loss " << loss << " resolution "
+            << static_cast<int>(resolution);
       }
     }
   }
@@ -129,29 +125,29 @@ TEST(FlatEngine, MatchesCoroutineOnRemainingAlgorithms) {
     for (double loss : {0.0, 0.1}) {
       const RunFingerprint reference =
           Fingerprint(g, ExecutionEngine::kCoroutine, algorithm, loss,
-                      ChannelResolution::kAuto, true);
+                      ChannelResolution::kAuto);
       const RunFingerprint flat =
           Fingerprint(g, ExecutionEngine::kFlat, algorithm, loss,
-                      ChannelResolution::kAuto, true);
+                      ChannelResolution::kAuto);
       EXPECT_EQ(flat, reference) << ToString(algorithm) << " loss " << loss;
     }
   }
 }
 
 TEST(FlatEngine, ReproducesPinnedGoldenTraceHashes) {
-  // The same constants test_residual_compaction.cpp pins for the coroutine
+  // The same constants test_channel_direction.cpp pins for the coroutine
   // engine: the flat backend must reproduce the frozen behavior exactly.
   Rng rng(424242);
   const Graph g = gen::RandomGeometric(64, 0.22, rng);
   const RunFingerprint cd = Fingerprint(g, ExecutionEngine::kFlat,
                                         MisAlgorithm::kCd, 0.0,
-                                        ChannelResolution::kAuto, true);
+                                        ChannelResolution::kAuto);
   const RunFingerprint cd_lossy = Fingerprint(g, ExecutionEngine::kFlat,
                                               MisAlgorithm::kCd, 0.3,
-                                              ChannelResolution::kAuto, true);
+                                              ChannelResolution::kAuto);
   const RunFingerprint nocd = Fingerprint(g, ExecutionEngine::kFlat,
                                           MisAlgorithm::kNoCd, 0.0,
-                                          ChannelResolution::kAuto, true);
+                                          ChannelResolution::kAuto);
   EXPECT_EQ(cd.trace_hash, 0xB54A7384D88D1E30ULL);
   EXPECT_EQ(cd_lossy.trace_hash, 0x0FA217956D3014ABULL);
   EXPECT_EQ(nocd.trace_hash, 0xE8D014E39E2297D4ULL);

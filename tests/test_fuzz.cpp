@@ -113,7 +113,6 @@ TEST(Fuzz, EnginesAgreeOnRandomConfigurations) {
     cfg.algorithm = kAll[fuzz.UniformBelow(std::size(kAll))];
     cfg.seed = fuzz.NextU64();
     if (fuzz.Bernoulli(0.3)) cfg.link_loss = 0.1;
-    if (fuzz.Bernoulli(0.3)) cfg.compaction = false;
     if (fuzz.Bernoulli(0.3)) cfg.resolution = ChannelResolution::kPush;
 
     Rng rng_a(graph_seed), rng_b(graph_seed);

@@ -4,8 +4,8 @@
 // shard count is BIT-IDENTICAL to the single-shard run — same decisions,
 // same rounds, same energy totals, same full trace hash. Pinned here:
 //   * fingerprint equality across shards {1, 2, 3, 8} for every MIS core
-//     across loss {0, 0.1} x compaction {on, off};
-//   * the frozen golden trace hashes of tests/test_residual_compaction.cpp
+//     across loss {0, 0.1};
+//   * the frozen golden trace hashes of tests/test_channel_direction.cpp
 //     reproduce at 4 shards (equivalence to the frozen behavior, not merely
 //     to today's single-shard build);
 //   * a graph big enough to cross the scheduler's inline-below threshold
@@ -189,7 +189,7 @@ TEST(BinaryCsr, MappedGraphRunsIdenticallyToOwnedGraph) {
 // Sharded-run bit-identity
 
 /// FNV-1a over every traced action and reception — the pattern pinned in
-/// test_residual_compaction.cpp and test_flat_engine.cpp.
+/// test_channel_direction.cpp and test_flat_engine.cpp.
 class HashTrace final : public TraceSink {
  public:
   void OnEvent(const TraceEvent& e) override {
@@ -223,8 +223,7 @@ struct RunFingerprint {
 };
 
 RunFingerprint ShardedFingerprint(const Graph& g, unsigned shards,
-                                  MisAlgorithm algorithm, double loss,
-                                  bool compaction) {
+                                  MisAlgorithm algorithm, double loss) {
   HashTrace trace;
   MisRunConfig cfg;
   cfg.algorithm = algorithm;
@@ -233,7 +232,6 @@ RunFingerprint ShardedFingerprint(const Graph& g, unsigned shards,
   cfg.shards = shards;
   cfg.trace = &trace;
   cfg.link_loss = loss;
-  cfg.compaction = compaction;
   const MisRunResult r = RunMis(g, cfg);
   EXPECT_TRUE(r.Valid() || loss > 0.0);
   return {r.status, r.stats.rounds_used, r.energy.TotalAwake(),
@@ -249,32 +247,28 @@ TEST(ShardedRun, BitIdenticalAcrossShardCountsForEveryCore) {
   const Graph g = gen::ErdosRenyi(96, 0.07, rng);
   for (MisAlgorithm algorithm : kCores) {
     for (double loss : {0.0, 0.1}) {
-      for (bool compaction : {true, false}) {
-        const RunFingerprint reference =
-            ShardedFingerprint(g, 1, algorithm, loss, compaction);
-        // 8 > the natural cut count for 96 nodes on small shards; also
-        // exercises the clamp-to-NumNodes path indirectly.
-        for (unsigned shards : {2u, 3u, 8u}) {
-          EXPECT_EQ(ShardedFingerprint(g, shards, algorithm, loss, compaction),
-                    reference)
-              << ToString(algorithm) << " loss " << loss << " compaction "
-              << compaction << " shards " << shards;
-        }
+      const RunFingerprint reference =
+          ShardedFingerprint(g, 1, algorithm, loss);
+      // 8 > the natural cut count for 96 nodes on small shards; also
+      // exercises the clamp-to-NumNodes path indirectly.
+      for (unsigned shards : {2u, 3u, 8u}) {
+        EXPECT_EQ(ShardedFingerprint(g, shards, algorithm, loss), reference)
+            << ToString(algorithm) << " loss " << loss << " shards " << shards;
       }
     }
   }
 }
 
 TEST(ShardedRun, ReproducesPinnedGoldenTraceHashesAtFourShards) {
-  // The constants test_residual_compaction.cpp froze for the coroutine
+  // The constants test_channel_direction.cpp froze for the coroutine
   // engine; the sharded flat path must reproduce the frozen behavior.
   Rng rng(424242);
   const Graph g = gen::RandomGeometric(64, 0.22, rng);
-  EXPECT_EQ(ShardedFingerprint(g, 4, MisAlgorithm::kCd, 0.0, true).trace_hash,
+  EXPECT_EQ(ShardedFingerprint(g, 4, MisAlgorithm::kCd, 0.0).trace_hash,
             0xB54A7384D88D1E30ULL);
-  EXPECT_EQ(ShardedFingerprint(g, 4, MisAlgorithm::kCd, 0.3, true).trace_hash,
+  EXPECT_EQ(ShardedFingerprint(g, 4, MisAlgorithm::kCd, 0.3).trace_hash,
             0x0FA217956D3014ABULL);
-  EXPECT_EQ(ShardedFingerprint(g, 4, MisAlgorithm::kNoCd, 0.0, true).trace_hash,
+  EXPECT_EQ(ShardedFingerprint(g, 4, MisAlgorithm::kNoCd, 0.0).trace_hash,
             0xE8D014E39E2297D4ULL);
 }
 
@@ -285,9 +279,9 @@ TEST(ShardedRun, BitIdenticalAboveTheInlineThreshold) {
   Rng rng(616);
   const Graph g = gen::ErdosRenyi(4096, 0.002, rng);
   const RunFingerprint reference =
-      ShardedFingerprint(g, 1, MisAlgorithm::kCd, 0.0, true);
+      ShardedFingerprint(g, 1, MisAlgorithm::kCd, 0.0);
   for (unsigned shards : {2u, 4u}) {
-    EXPECT_EQ(ShardedFingerprint(g, shards, MisAlgorithm::kCd, 0.0, true),
+    EXPECT_EQ(ShardedFingerprint(g, shards, MisAlgorithm::kCd, 0.0),
               reference)
         << "shards " << shards;
   }
@@ -296,8 +290,8 @@ TEST(ShardedRun, BitIdenticalAboveTheInlineThreshold) {
 TEST(ShardedRun, ShardCountExceedingNodesIsClamped) {
   const Graph g = gen::Path(5);
   const RunFingerprint reference =
-      ShardedFingerprint(g, 1, MisAlgorithm::kCd, 0.0, true);
-  EXPECT_EQ(ShardedFingerprint(g, 64, MisAlgorithm::kCd, 0.0, true), reference);
+      ShardedFingerprint(g, 1, MisAlgorithm::kCd, 0.0);
+  EXPECT_EQ(ShardedFingerprint(g, 64, MisAlgorithm::kCd, 0.0), reference);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,32 +6,38 @@
 //   emis_cli graph pack --graph <spec | file:PATH> [--seed S] --out FILE.csr
 //   emis_cli run   --graph <spec | file:PATH | csr:PATH> --alg <name>
 //                  [--seed S] [--preset practical|theory] [--delta-unknown]
-//                  [--resolution auto|push|pull] [--compaction on|off]
+//                  [--resolution auto|push|pull] [--engine coroutine|flat]
 //                  [--shards N]
 //                  [--trace FILE.csv] [--trace-jsonl FILE.jsonl]
 //                  [--report-out FILE.json] [--flamegraph-out FILE.txt]
 //                  [--telemetry-out PATH|fd:N] [--heartbeat-every R]
 //                  [--metrics-text FILE.prom] [--quiet]
 //   emis_cli sweep --alg <name> --family <er|udg|star|tree|matching|complete>
-//                  --sizes 64,128,... [--seeds K] [--delta-unknown]
-//                  [--resolution auto|push|pull] [--compaction on|off]
-//                  [--shards N] [--jobs N] [--report-out FILE.json]
+//                  --sizes 64,128,... [--seeds K] [--avg-degree D]
+//                  [--delta-unknown] [--resolution auto|push|pull]
+//                  [--engine coroutine|flat] [--shards N] [--jobs N]
+//                  [--report-out FILE.json]
 //                  [--telemetry-out PATH|fd:N] [--heartbeat-every R]
 //                  [--metrics-text FILE.prom] [--quiet]
 //   emis_cli validate-report FILE.json
 //
 // Exit status: 0 on success (and valid MIS for `run`, conforming document
 // for `validate-report`, requested help), 1 on invalid MIS / non-conforming
-// document, 2 on usage errors.
+// document, 2 on usage errors (including a flag the subcommand does not
+// take).
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <map>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/runner.hpp"
@@ -72,20 +78,27 @@ struct Flags {
   }
 };
 
-Flags Parse(int argc, char** argv, int first) {
+/// Parses argv[first..] against the subcommand's flag set. A flag outside
+/// `allowed` is a usage error, so a typo or a removed flag cannot run with a
+/// silently different meaning.
+Flags Parse(int argc, char** argv, int first,
+            std::initializer_list<std::string_view> allowed) {
   Flags flags;
   for (int i = first; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) == 0) {
-      const std::string key = arg.substr(2);
+      std::string key = arg.substr(2);
+      if (std::find(allowed.begin(), allowed.end(), key) == allowed.end()) {
+        throw PreconditionError("unknown flag --" + key +
+                                " (see `emis_cli help`)");
+      }
       // Boolean flags take no value; everything else consumes the next arg.
-      if (key == "delta-unknown" || key == "quiet") {
-        flags.named[key] = "1";
-      } else if (i + 1 < argc) {
-        flags.named[key] = argv[++i];
-      } else {
+      const bool boolean = key == "delta-unknown" || key == "quiet";
+      if (!boolean && i + 1 >= argc) {
         throw PreconditionError("flag --" + key + " needs a value");
       }
+      flags.named.insert_or_assign(std::move(key),
+                                   std::string(boolean ? "1" : argv[++i]));
     } else {
       flags.positional.push_back(std::move(arg));
     }
@@ -99,13 +112,6 @@ ChannelResolution ResolutionFlag(const Flags& flags) {
   EMIS_REQUIRE(r != kInvalidChannelResolution,
                "--resolution must be auto, push or pull (got '" + text + "')");
   return r;
-}
-
-bool CompactionFlag(const Flags& flags) {
-  const std::string text = flags.Get("compaction", "on");
-  EMIS_REQUIRE(text == "on" || text == "off",
-               "--compaction must be on or off (got '" + text + "')");
-  return text == "on";
 }
 
 ExecutionEngine EngineFlag(const Flags& flags) {
@@ -129,6 +135,19 @@ unsigned ShardsFlag(const Flags& flags) {
   EMIS_REQUIRE(value >= 1 && value <= 256,
                "--shards must be in [1, 256] (got '" + text + "')");
   return static_cast<unsigned>(value);
+}
+
+/// One `--sizes` entry: a decimal node count below the kInvalidNode
+/// sentinel. Digits only — std::stoul would accept "-1" and wrap it.
+NodeId SizeItem(const std::string& item) {
+  std::uint64_t value = 0;
+  const auto [ptr, ec] =
+      std::from_chars(item.data(), item.data() + item.size(), value);
+  EMIS_REQUIRE(ec == std::errc{} && ptr == item.data() + item.size(),
+               "--sizes entry '" + item + "' is not a node count");
+  EMIS_REQUIRE(value < kInvalidNode,
+               "--sizes entry '" + item + "' does not fit a node id");
+  return static_cast<NodeId>(value);
 }
 
 Graph LoadGraph(const std::string& source, std::uint64_t seed) {
@@ -216,7 +235,6 @@ int CmdRun(const Flags& flags) {
                "--preset must be practical or theory");
   cfg.preset = preset == "theory" ? ParamPreset::kTheory : ParamPreset::kPractical;
   cfg.resolution = ResolutionFlag(flags);
-  cfg.compaction = CompactionFlag(flags);
   cfg.engine = EngineFlag(flags);
   cfg.shards = ShardsFlag(flags);
   if (flags.Has("delta-unknown")) cfg.delta_estimate = g.NumNodes();
@@ -383,19 +401,17 @@ int CmdSweep(const Flags& flags) {
   cfg.seeds_per_size = static_cast<std::uint32_t>(std::stoul(flags.Get("seeds", "5")));
   cfg.delta_unknown = flags.Has("delta-unknown");
   cfg.resolution = ResolutionFlag(flags);
-  cfg.compaction = CompactionFlag(flags);
   cfg.engine = EngineFlag(flags);
   cfg.shards = ShardsFlag(flags);
   // Sweep-wide metrics (merged across worker shards) feed the report's
-  // required "metrics" sub-document, so chan.live_edges / graph.compactions
-  // accumulate in the BENCH_*.json trajectory.
+  // required "metrics" sub-document, so the chan.* cost counters accumulate
+  // in the BENCH_*.json trajectory.
   obs::MetricsRegistry metrics;
   cfg.metrics = &metrics;
   std::istringstream ss(sizes_csv);
   std::string item;
-  while (std::getline(ss, item, ',')) {
-    cfg.sizes.push_back(static_cast<NodeId>(std::stoul(item)));
-  }
+  while (std::getline(ss, item, ',')) cfg.sizes.push_back(SizeItem(item));
+  EMIS_REQUIRE(!cfg.sizes.empty(), "--sizes needs at least one node count");
   if (family == "er") {
     cfg.factory = families::SparseErdosRenyi(std::stod(flags.Get("avg-degree", "8")));
   } else if (family == "udg") {
@@ -512,7 +528,7 @@ int CmdValidateReport(const Flags& flags) {
 }
 
 /// The usage text, shared by `help` (exit 0) and usage errors (exit 2).
-/// Every run/sweep cost knob (--resolution, --compaction, --engine) is
+/// Every run/sweep cost knob (--resolution, --engine, --shards) is
 /// listed for both commands; tests/golden/emis_cli_help.txt snapshots this
 /// output.
 void PrintUsage() {
@@ -524,7 +540,7 @@ void PrintUsage() {
       "  emis_cli graph pack --graph <spec|file:PATH> [--seed S] --out FILE.csr\n"
       "  emis_cli run --graph <spec|file:PATH|csr:PATH> --alg <name> [--seed S]\n"
       "               [--preset practical|theory] [--delta-unknown]\n"
-      "               [--resolution auto|push|pull] [--compaction on|off]\n"
+      "               [--resolution auto|push|pull]\n"
       "               [--engine coroutine|flat] [--shards N]\n"
       "               [--trace FILE.csv] [--trace-jsonl FILE.jsonl]\n"
       "               [--report-out FILE.json] [--flamegraph-out FILE.txt]\n"
@@ -533,17 +549,15 @@ void PrintUsage() {
       "  emis_cli sweep --alg <name> --family <er|udg|star|tree|matching|complete>\n"
       "               --sizes 64,128,... [--seeds K] [--avg-degree D]\n"
       "               [--delta-unknown] [--resolution auto|push|pull]\n"
-      "               [--compaction on|off] [--engine coroutine|flat]\n"
-      "               [--shards N] [--jobs N] [--report-out FILE.json]\n"
+      "               [--engine coroutine|flat] [--shards N] [--jobs N]\n"
+      "               [--report-out FILE.json]\n"
       "               [--telemetry-out PATH|fd:N] [--heartbeat-every R]\n"
       "               [--metrics-text FILE.prom] [--quiet]\n"
       "  emis_cli validate-report FILE.json\n"
       "                (run, bench, diff, and emis-lint-report/1|/2 schemas)\n"
       "cost knobs (identical results, different cost):\n"
-      "  --resolution  channel direction: auto picks per round by live-degree\n"
+      "  --resolution  channel direction: auto picks per round by degree\n"
       "                sums; push/pull force one side\n"
-      "  --compaction  residual-graph compaction: on (default) drops retired\n"
-      "                nodes from channel scan rows; off scans seed CSR rows\n"
       "  --engine      execution backend: coroutine (default; override via\n"
       "                EMIS_ENGINE) resumes one coroutine per awake node;\n"
       "                flat advances packed per-node state machines\n"
@@ -581,13 +595,28 @@ int Main(int argc, char** argv) {
         std::fprintf(stderr, "unknown graph subcommand (expected `graph pack`)\n");
         return Usage();
       }
-      return CmdGraphPack(Parse(argc, argv, 3));
+      return CmdGraphPack(
+          Parse(argc, argv, 3, {"graph", "seed", "out", "quiet"}));
     }
-    const Flags flags = Parse(argc, argv, 2);
-    if (cmd == "gen") return CmdGen(flags);
-    if (cmd == "run") return CmdRun(flags);
-    if (cmd == "sweep") return CmdSweep(flags);
-    if (cmd == "validate-report") return CmdValidateReport(flags);
+    if (cmd == "gen") return CmdGen(Parse(argc, argv, 2, {"seed", "out"}));
+    if (cmd == "run") {
+      return CmdRun(Parse(
+          argc, argv, 2,
+          {"graph", "alg", "seed", "preset", "delta-unknown", "resolution",
+           "engine", "shards", "trace", "trace-jsonl", "report-out",
+           "flamegraph-out", "telemetry-out", "heartbeat-every",
+           "metrics-text", "quiet"}));
+    }
+    if (cmd == "sweep") {
+      return CmdSweep(Parse(
+          argc, argv, 2,
+          {"alg", "family", "sizes", "seeds", "avg-degree", "delta-unknown",
+           "resolution", "engine", "shards", "jobs", "report-out",
+           "telemetry-out", "heartbeat-every", "metrics-text", "quiet"}));
+    }
+    if (cmd == "validate-report") {
+      return CmdValidateReport(Parse(argc, argv, 2, {}));
+    }
     std::fprintf(stderr, "unknown command '%s'\n", cmd.c_str());
     return Usage();
   } catch (const std::exception& e) {
