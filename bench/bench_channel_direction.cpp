@@ -2,8 +2,8 @@
 //
 // The scheduler resolves each round on the cheaper side of the channel:
 // push (transmitters scan their neighbor rows) or pull (listeners scan
-// theirs), picked per round by the degree-sum cost model. This bench checks
-// the two halves of that design:
+// theirs), picked per round by the cost-weighted degree-sum rule. This
+// bench checks the two halves of that design:
 //   * equivalence — push and pull produce identical receptions, and whole
 //     MIS runs are identical in every resolution mode (reliable and lossy);
 //   * throughput — on dense-transmitter/sparse-listener workloads (a star

@@ -88,7 +88,7 @@ proc::Task<void> DeltaDoublingMisNode(NodeApi api, DeltaDoublingParams params,
   }
   // Only now is the decision terminal: earlier epochs may demote an MIS node
   // during verification and send everyone back to undecided, so no node may
-  // leave the residual graph before the last guess completes.
+  // retire before the last guess completes.
   api.Retire();
 }
 

@@ -46,8 +46,9 @@ proc::Task<void> MisCdNode(NodeApi api, CdParams params, std::vector<MisStatus>*
   (*out)[api.Id()] = MisStatus::kUndecided;
   co_await MisCdEpoch(api, params, &(*out)[api.Id()]);
   // Terminal decision (or phases exhausted): report it so the scheduler
-  // drops this node from the residual graph. The composable epoch above must
-  // NOT retire — callers like the coloring/backbone apps keep acting after.
+  // retires this node — arming the acting-after-retirement invariant and
+  // counting it as decided. The composable epoch above must NOT retire —
+  // callers like the coloring/backbone apps keep acting after.
   api.Retire();
 }
 

@@ -104,8 +104,9 @@ struct MisRunConfig {
   /// assumes a reliable channel). Combine with CdParams::repetitions to
   /// harden Algorithm 1 against it.
   double link_loss = 0.0;
-  /// Channel resolution direction (cost knob only — receptions and the MIS
-  /// are identical in every mode). See SchedulerConfig::resolution.
+  /// Channel resolution direction: kAuto, or a forced side for tests.
+  /// Receptions and the MIS are identical in every mode. See
+  /// SchedulerConfig::resolution.
   ChannelResolution resolution = ChannelResolution::kAuto;
   /// Ignored: residual compaction was removed; kept only so
   /// `emisbench/adapter.cpp` compiles until the benchmark harness drops it.

@@ -11,9 +11,10 @@
 //   * kPull — AddTransmitter is O(1) (epoch-stamps a transmitter bitset +
 //     payload slot); ResolveListener scans the *listener's* CSR neighbor row
 //     against the bitset. Round cost O(Σ deg(listener)).
-// The scheduler picks per round via the degree-sum cost model (borrowing the
-// direction-optimizing idea from BFS engines), so round cost tracks
-// min(transmit-side work, listen-side work). BeginRound is O(1) either way.
+// The scheduler picks per round by a cost-weighted degree-sum rule
+// (ResolveDirection in radio/scheduler.hpp, borrowing the
+// direction-optimizing idea from BFS engines), so round cost tracks the
+// cheaper side's work. BeginRound is O(1) either way.
 //
 // Fading (SetLoss) is counter-based: link (tx → rx) in round r is erased iff
 // CounterHashUnit(seed, r, tx, rx) < loss — a pure function of the tuple, no

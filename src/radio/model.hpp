@@ -37,7 +37,9 @@ constexpr std::string_view ToString(ChannelModel m) noexcept {
 /// choice only moves *where* the per-round work lands:
 ///   * push — each transmitter scans its neighbor row, cost O(Σ deg(tx));
 ///   * pull — each listener scans its neighbor row, cost O(Σ deg(listen));
-///   * auto — per round, whichever side's degree sum is smaller.
+///   * auto — per round, the side ResolveDirection (radio/scheduler.hpp)
+///     weighs cheaper. Runs use auto; push and pull exist so tests and the
+///     E19 bench can force one side.
 enum class ChannelResolution : std::uint8_t {
   kAuto,  ///< per-round cost-model choice between push and pull
   kPush,  ///< always transmitter-side (the classic delivery loop)
@@ -51,18 +53,6 @@ constexpr std::string_view ToString(ChannelResolution r) noexcept {
     case ChannelResolution::kPull: return "pull";
   }
   return "?";
-}
-
-/// Parses "auto" / "push" / "pull"; anything else is kInvalid.
-/// (std::optional would drag <optional> into every model.hpp includer.)
-inline constexpr auto kInvalidChannelResolution =
-    static_cast<ChannelResolution>(0xFF);
-constexpr ChannelResolution ChannelResolutionFromString(
-    std::string_view s) noexcept {
-  if (s == "auto") return ChannelResolution::kAuto;
-  if (s == "push") return ChannelResolution::kPush;
-  if (s == "pull") return ChannelResolution::kPull;
-  return kInvalidChannelResolution;
 }
 
 /// The direction actually used for one resolved round (kAuto never reaches

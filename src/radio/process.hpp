@@ -401,8 +401,9 @@ class NodeApi {
   /// Reports a terminal decision (joined the MIS, killed by a neighbor, or
   /// otherwise terminated): this node will never transmit or listen again —
   /// it may still sleep and then finish. After the current resume slice the
-  /// scheduler drops the node from its residual graph, shrinking every
-  /// neighbor's live scan row (see Scheduler::Retire). Idempotent, and
+  /// scheduler retires the node (see Scheduler::Retire): any later transmit
+  /// or listen trips an invariant, and the node counts toward the
+  /// telemetry's `decided` gauge. Idempotent, and
   /// implied anyway by the protocol coroutine finishing; root MIS protocols
   /// call it explicitly so retirement does not depend on wrapper structure.
   void Retire() const noexcept { ctx_.hot->RequestRetire(); }

@@ -117,7 +117,7 @@ void Scheduler::Spawn(const ProtocolFactory& factory) {
   for (NodeId v = 0; v < graph_->NumNodes(); ++v) {
     ctx_hot_[v].now = 0;
     ctx_cold_[v].resume_point = tasks_[v].RawHandle();
-    ResumeAndFile(v, actors_);
+    ResumeAndFile(v, actors_, shard_actors_);
   }
 }
 
@@ -148,11 +148,11 @@ void Scheduler::SpawnFlat(std::unique_ptr<FlatProtocol> protocol) {
         flat_->Step(v, View(v));
       }
     });
-    for (NodeId v = 0; v < n; ++v) FileAction(v, actors_, &shard_actors_);
+    for (NodeId v = 0; v < n; ++v) FileAction(v, actors_, shard_actors_);
   } else {
     for (NodeId v = 0; v < n; ++v) {
       ctx_hot_[v].now = 0;
-      ResumeAndFile(v, actors_, Sharded() ? &shard_actors_ : nullptr);
+      ResumeAndFile(v, actors_, shard_actors_);
     }
   }
 }
@@ -206,7 +206,7 @@ void Scheduler::Retire(NodeId v) {
 }
 
 void Scheduler::ResumeAndFile(NodeId v, std::vector<NodeId>& actors,
-                              std::vector<std::vector<NodeId>>* by_shard) {
+                              std::vector<std::vector<NodeId>>& by_shard) {
   if (flat_ != nullptr) {
     flat_->Step(v, View(v));
   } else {
@@ -223,12 +223,12 @@ void Scheduler::ResumeAndFile(NodeId v, std::vector<NodeId>& actors,
 }
 
 void Scheduler::FileAction(NodeId v, std::vector<NodeId>& actors,
-                           std::vector<std::vector<NodeId>>* by_shard) {
+                           std::vector<std::vector<NodeId>>& by_shard) {
   HotNodeContext& hot = ctx_hot_[v];
   if (hot.Done()) {
     ++finished_;
-    // A finished program never acts again: drop the node from every
-    // neighbor's live scan row.
+    // A finished program never acts again: retiring arms the
+    // acting-after-retirement invariant and counts the node as decided.
     Retire(v);
     return;
   }
@@ -238,7 +238,7 @@ void Scheduler::FileAction(NodeId v, std::vector<NodeId>& actors,
     case ActionKind::kListen:
       EMIS_INVARIANT(!hot.Retired(), "retired node submitted a radio action");
       actors.push_back(v);
-      if (by_shard != nullptr) (*by_shard)[ShardOf(v)].push_back(v);
+      if (Sharded()) by_shard[ShardOf(v)].push_back(v);
       break;
     case ActionKind::kSleep:
       EMIS_INVARIANT(hot.WakeRound() > hot.now, "sleep must advance time");
@@ -345,91 +345,13 @@ ChannelDirection Scheduler::ChooseDirection() {
       listen_edges += cost;
     }
   }
-  round_tx_edges_ = tx_edges;
-  round_listen_edges_ = listen_edges;
-  const ChannelDirection dir =
-      ResolveDirection(config_.resolution, tx_edges, listen_edges);
+  const ChannelDirection dir = ResolveDirection(
+      config_.resolution, tx_edges, listen_edges, config_.link_loss > 0.0);
   if (edges_scanned_ != nullptr) {
     (dir == ChannelDirection::kPush ? push_rounds_ : pull_rounds_)->Inc();
     edges_scanned_->Inc(dir == ChannelDirection::kPush ? tx_edges : listen_edges);
   }
   return dir;
-}
-
-ChannelDirection Scheduler::PhysicalDirection(
-    ChannelDirection model_dir) const noexcept {
-  // Coroutine engine: physical == model, so the accounted cost is the paid
-  // cost. Lossy channels scan scalar either way (per-link draws), so the
-  // unweighted model is already right there too.
-  if (flat_ == nullptr || config_.link_loss > 0.0) return model_dir;
-  // Loss-free flat rounds: the pull scan runs the word-parallel kernel at
-  // roughly a quarter of push's per-edge cost (measured ~3.2 ns/edge vs
-  // ~14 ns/edge at bench sizes), so push only wins when the transmit side
-  // is ~4x smaller in edge volume.
-  return round_tx_edges_ * 4 < round_listen_edges_ ? ChannelDirection::kPush
-                                                   : ChannelDirection::kPull;
-}
-
-void Scheduler::ExecuteRound() {
-  {
-    const obs::ScopedTimer timing(execute_timer_);
-    channel_.BeginRound(PhysicalDirection(ChooseDirection()));
-    // Phase 1: register all transmissions. Touches only the hot array — a
-    // transmit's payload rides in the hot argument slot.
-    for (std::size_t i = 0; i < actors_.size(); ++i) {
-      if (i + 8 < actors_.size()) {
-        __builtin_prefetch(&ctx_hot_[actors_[i + 8]], 0, 1);
-      }
-      const NodeId v = actors_[i];
-      const HotNodeContext& hot = ctx_hot_[v];
-      if (hot.Pending() == ActionKind::kTransmit) {
-        channel_.AddTransmitter(v, hot.Payload());
-        energy_.ChargeTransmit(v);
-        if (config_.ledger != nullptr) config_.ledger->ChargeTransmit(v);
-        if (config_.trace != nullptr) {
-          config_.trace->OnEvent({now_, v, ActionKind::kTransmit, hot.Payload(), {}});
-        }
-      }
-    }
-    // Phase 2: resolve receptions. Reads the hot flags, writes the cold
-    // reception slot — prefetch both ahead.
-    for (std::size_t i = 0; i < actors_.size(); ++i) {
-      if (i + 8 < actors_.size()) {
-        const NodeId ahead = actors_[i + 8];
-        __builtin_prefetch(&ctx_hot_[ahead], 0, 1);
-        __builtin_prefetch(&ctx_cold_[ahead].last_reception, 1, 1);
-      }
-      const NodeId v = actors_[i];
-      if (ctx_hot_[v].Pending() == ActionKind::kListen) {
-        ctx_cold_[v].last_reception = channel_.ResolveListener(v);
-        energy_.ChargeListen(v);
-        if (config_.ledger != nullptr) config_.ledger->ChargeListen(v);
-        if (config_.trace != nullptr) {
-          config_.trace->OnEvent(
-              {now_, v, ActionKind::kListen, 0, ctx_cold_[v].last_reception});
-        }
-      }
-    }
-  }
-  node_rounds_ += actors_.size();
-  last_awake_round_ = now_;
-  any_awake_round_ = true;
-  if (rounds_executed_ != nullptr) rounds_executed_->Inc();
-  if (config_.telemetry != nullptr &&
-      now_ % std::max<Round>(config_.telemetry->HeartbeatEvery(), 1) == 0) {
-    EmitHeartbeat();
-  }
-
-  // Phase 3: resume actors so they submit their next action (for now_ + 1).
-  const obs::ScopedTimer timing(resume_timer_);
-  next_actors_.clear();
-  for (std::size_t i = 0; i < actors_.size(); ++i) {
-    PrefetchResume(actors_, i);
-    const NodeId v = actors_[i];
-    ctx_hot_[v].now = static_cast<std::uint32_t>(now_ + 1);
-    ResumeAndFile(v, next_actors_);
-  }
-  actors_.swap(next_actors_);
 }
 
 void Scheduler::ShardTransmitPass(unsigned s) {
@@ -452,7 +374,7 @@ void Scheduler::ShardTransmitPass(unsigned s) {
 }
 
 void Scheduler::ShardListenPass(unsigned s) {
-  const std::vector<NodeId>& list = shard_actors_[s];
+  const std::vector<NodeId>& list = ShardActors(s);
   std::uint64_t listens = 0;
   for (std::size_t i = 0; i < list.size(); ++i) {
     if (i + 8 < list.size()) {
@@ -471,9 +393,8 @@ void Scheduler::ShardListenPass(unsigned s) {
 }
 
 void Scheduler::EmitRoundTrace() {
-  // Deferred serial trace pass in global actor order: all transmit events,
-  // then all listens — exactly the event order the unsharded two-phase loop
-  // emits, so trace goldens are shard-count-invariant.
+  // Serial trace pass in global actor order: all transmit events, then all
+  // listens, so trace goldens are shard-count-invariant.
   for (const NodeId v : actors_) {
     const HotNodeContext& hot = ctx_hot_[v];
     if (hot.Pending() == ActionKind::kTransmit) {
@@ -488,33 +409,48 @@ void Scheduler::EmitRoundTrace() {
   }
 }
 
-void Scheduler::ExecuteRoundSharded() {
+void Scheduler::ExecuteRound() {
   {
     const obs::ScopedTimer timing(execute_timer_);
-    // ChooseDirection still runs for its side effects — actor-round
-    // validation and the chan.* cost-model metrics — but sharded rounds
-    // always *resolve* pull-side: stamping is shard-local and the listener
-    // scan reads the merged bitset without touching other nodes' state.
-    // Unobservable, per the Channel reception contract (the same argument
-    // that lets PhysicalDirection substitute directions; lossy channels
-    // keep per-link draws keyed by (listener, round, neighbor), which are
-    // direction-free by construction).
-    ChooseDirection();
-    channel_.BeginRound(ChannelDirection::kPull);
+    const ChannelDirection dir = ChooseDirection();
+    channel_.BeginRound(dir);
     // Pre-intern the ledger's (phase, sub) key so concurrent charges touch
     // only per-node cells (disjoint across shards), never the key table.
     if (config_.ledger != nullptr) config_.ledger->PrimeCurrentKey();
     const unsigned jobs = ShardJobs(actors_.size());
-    par::ParallelFor(jobs, shards_, [this](std::uint64_t s, unsigned) {
-      ShardTransmitPass(static_cast<unsigned>(s));
-    });
-    // Word-wise OR-merge in fixed shard order into the epoch-stamped global
-    // bitset; serial, so boundary words shared by two shards merge cleanly.
     std::uint64_t tx_total = 0;
-    for (unsigned s = 0; s < shards_; ++s) {
-      merge_words_ += channel_.MergeTxShard(tx_buffers_[s]);
-      tx_total += shard_tx_count_[s];
+    if (dir == ChannelDirection::kPull && Sharded()) {
+      par::ParallelFor(jobs, shards_, [this](std::uint64_t s, unsigned) {
+        ShardTransmitPass(static_cast<unsigned>(s));
+      });
+      // Word-wise OR-merge in fixed shard order into the epoch-stamped
+      // global bitset; serial, so boundary words shared by two shards merge
+      // cleanly.
+      for (unsigned s = 0; s < shards_; ++s) {
+        merge_words_ += channel_.MergeTxShard(tx_buffers_[s]);
+        tx_total += shard_tx_count_[s];
+      }
+    } else {
+      // Push deliveries write into neighbors' slots, which any shard may
+      // own, so they run serially in global actor order. That stays cheap:
+      // push is only chosen when its edge side is under a quarter of the
+      // listen side. Unsharded pull rounds register through the same loop.
+      for (std::size_t i = 0; i < actors_.size(); ++i) {
+        if (i + 8 < actors_.size()) {
+          __builtin_prefetch(&ctx_hot_[actors_[i + 8]], 0, 1);
+        }
+        const NodeId v = actors_[i];
+        const HotNodeContext& hot = ctx_hot_[v];
+        if (hot.Pending() != ActionKind::kTransmit) continue;
+        channel_.AddTransmitter(v, hot.Payload());
+        energy_.ChargeTransmitLocal(v);
+        if (config_.ledger != nullptr) config_.ledger->ChargeTransmit(v);
+        ++tx_total;
+      }
     }
+    // ResolveListener(v) reads only the merged transmitter set (pull) or
+    // v's own delivery slots (push), so the listener pass is shard-parallel
+    // in either direction.
     par::ParallelFor(jobs, shards_, [this](std::uint64_t s, unsigned) {
       ShardListenPass(static_cast<unsigned>(s));
     });
@@ -534,11 +470,12 @@ void Scheduler::ExecuteRoundSharded() {
     EmitHeartbeat();
   }
 
-  // Phase 3: parallel per-shard protocol steps, then a serial filing pass in
-  // global actor order — filing mutates cross-node state (finished_, the
-  // wheel, the retired count) whose order the goldens pin. Timeline runs
-  // keep the serial reference resume (annotations mutate shared state
-  // inside Step).
+  // Resume pass: per-shard protocol steps in parallel when eligible, then a
+  // serial filing pass in global actor order — filing mutates cross-node
+  // state (finished_, the wheel, the retired count) whose order the goldens
+  // pin. Otherwise (coroutine engine, unsharded, or a timeline whose
+  // annotations mutate shared state inside Step) the serial reference
+  // resume steps and files each actor in turn.
   const obs::ScopedTimer timing(resume_timer_);
   next_actors_.clear();
   for (std::vector<NodeId>& list : next_shard_actors_) list.clear();
@@ -553,13 +490,13 @@ void Scheduler::ExecuteRoundSharded() {
         flat_->Step(v, View(v));
       }
     });
-    for (const NodeId v : actors_) FileAction(v, next_actors_, &next_shard_actors_);
+    for (const NodeId v : actors_) FileAction(v, next_actors_, next_shard_actors_);
   } else {
     for (std::size_t i = 0; i < actors_.size(); ++i) {
       PrefetchResume(actors_, i);
       const NodeId v = actors_[i];
       ctx_hot_[v].now = static_cast<std::uint32_t>(now_ + 1);
-      ResumeAndFile(v, next_actors_, &next_shard_actors_);
+      ResumeAndFile(v, next_actors_, next_shard_actors_);
     }
   }
   actors_.swap(next_actors_);
@@ -643,7 +580,7 @@ RunStats Scheduler::RunUntil(Round limit) {
           }
         });
         for (const NodeId v : wake_scratch_) {
-          FileAction(v, actors_, &shard_actors_);
+          FileAction(v, actors_, shard_actors_);
         }
       } else {
         for (std::size_t i = 0; i < wake_scratch_.size(); ++i) {
@@ -651,17 +588,13 @@ RunStats Scheduler::RunUntil(Round limit) {
           const NodeId v = wake_scratch_[i];
           EMIS_INVARIANT(ctx_hot_[v].WakeRound() == now_, "missed a wake event");
           ctx_hot_[v].now = static_cast<std::uint32_t>(now_);
-          ResumeAndFile(v, actors_, Sharded() ? &shard_actors_ : nullptr);
+          ResumeAndFile(v, actors_, shard_actors_);
         }
       }
     }
     if (actors_.empty()) continue;  // woken nodes all went back to sleep
 
-    if (Sharded()) {
-      ExecuteRoundSharded();
-    } else {
-      ExecuteRound();
-    }
+    ExecuteRound();
     ++now_;
   }
 

@@ -49,9 +49,9 @@ struct SchedulerConfig {
   /// paper's reliable channel. See Channel::SetLoss.
   double link_loss = 0.0;
   /// How the channel resolves receptions each round. kAuto picks per round
-  /// by the degree-sum cost model (Σ deg(transmitter) vs Σ deg(listener),
-  /// ties to push); kPush/kPull force one direction. Receptions are
-  /// identical in all three modes — this is purely a cost knob.
+  /// by ResolveDirection's weighted degree-sum rule; kPush/kPull force one
+  /// direction (a test seam for the equivalence checks). Receptions are
+  /// identical in all three modes.
   ChannelResolution resolution = ChannelResolution::kAuto;
   /// Ignored: residual compaction was removed; kept only so
   /// `emisbench/adapter.cpp` compiles until the benchmark harness drops it.
@@ -101,13 +101,20 @@ struct SchedulerConfig {
 };
 
 /// The per-round direction decision, factored out of the scheduler so the
-/// cost model is unit-testable in isolation: forced resolutions win
-/// unconditionally; kAuto resolves on the cheaper side with ties to push,
-/// whose per-edge work (stamped delivery) is slightly lighter than the
-/// pull-side scan. The edge sums are static CSR degrees.
+/// rule is unit-testable in isolation. Both engines resolve every round in
+/// the direction returned here, at any shard count, and the chan.* counters
+/// record it. Forced resolutions win unconditionally. kAuto weighs each
+/// side's static CSR degree sum by its per-edge cost:
+///   * loss-free — the pull scan runs the word-parallel kernel at roughly a
+///     quarter of push's per-edge cost (measured ~3.2 ns/edge vs ~14
+///     ns/edge at bench sizes), so pull wins unless 4·Σdeg(tx) <
+///     Σdeg(listen);
+///   * lossy — both sides draw a per-link erasure in a scalar loop, so the
+///     cheaper side wins unweighted, ties to push.
 constexpr ChannelDirection ResolveDirection(ChannelResolution resolution,
                                             std::uint64_t tx_edges,
-                                            std::uint64_t listen_edges) noexcept {
+                                            std::uint64_t listen_edges,
+                                            bool lossy) noexcept {
   switch (resolution) {
     case ChannelResolution::kPush:
       return ChannelDirection::kPush;
@@ -116,8 +123,12 @@ constexpr ChannelDirection ResolveDirection(ChannelResolution resolution,
     case ChannelResolution::kAuto:
       break;
   }
-  return listen_edges < tx_edges ? ChannelDirection::kPull
-                                 : ChannelDirection::kPush;
+  if (lossy) {
+    return listen_edges < tx_edges ? ChannelDirection::kPull
+                                   : ChannelDirection::kPush;
+  }
+  return tx_edges * 4 < listen_edges ? ChannelDirection::kPush
+                                     : ChannelDirection::kPull;
 }
 
 struct RunStats {
@@ -186,7 +197,7 @@ class Scheduler {
   /// the submitted action via FileAction. `by_shard` mirrors radio actions
   /// into per-shard actor lists when the run is sharded.
   void ResumeAndFile(NodeId v, std::vector<NodeId>& actors,
-                     std::vector<std::vector<NodeId>>* by_shard = nullptr);
+                     std::vector<std::vector<NodeId>>& by_shard);
 
   /// Files node v's already-computed action: into `actors` (and the shard
   /// mirror) if it acts in round ctx.now, into the wake wheel if it sleeps;
@@ -195,7 +206,7 @@ class Scheduler {
   /// actor order — filing mutates cross-node state (finished_, the retired
   /// count, the wheel), whose mutation order the trace/report goldens pin.
   void FileAction(NodeId v, std::vector<NodeId>& actors,
-                  std::vector<std::vector<NodeId>>* by_shard);
+                  std::vector<std::vector<NodeId>>& by_shard);
 
   /// Issues prefetches for upcoming resumes in a batch: position i + 16
   /// pulls the node's hot context line (ctx_hot_ is 16 B/node — four nodes
@@ -207,27 +218,30 @@ class Scheduler {
   /// cost on large graphs.
   void PrefetchResume(const std::vector<NodeId>& nodes, std::size_t i) noexcept;
 
-  /// Executes the current round for `actors_` (channel + energy + trace),
-  /// then resumes the actors to collect their next actions.
+  /// Executes the current round for `actors_`, then resumes the actors to
+  /// collect their next actions. One path for every engine and shard count
+  /// (an unsharded run is the one-shard case, whose passes run inline):
+  /// (1) transmitters register — pull rounds of a sharded run stamp
+  /// shard-local bitsets in parallel and OR-merge them in fixed shard order;
+  /// every other round (push, or unsharded) registers serially in global
+  /// actor order; (2) a per-shard listener pass resolves receptions, in
+  /// parallel when sharded; (3) energy totals commit once and the trace is
+  /// emitted serially in global actor order; (4) the resume pass steps the
+  /// actors (in parallel when ParallelStepEligible) and files them serially.
+  /// Every observable is bit-identical at any shard count (DESIGN.md §13).
   void ExecuteRound();
 
-  /// The sharded counterpart of ExecuteRound (flat engine, shards_ > 1).
-  /// Three deterministic steps per round: (1) a parallel per-shard action
-  /// pass stamps transmitters into shard-local bitsets and charges energy
-  /// locally, (2) the shard buffers are OR-merged word-wise into the
-  /// channel's epoch-stamped global bitset in fixed shard order, (3) a
-  /// parallel per-shard listener pass resolves receptions via the read-only
-  /// word-scan kernels. Trace events, energy totals, and actor filing are
-  /// then replayed serially in global actor order, so every observable is
-  /// bit-identical to the unsharded round (DESIGN.md §13).
-  void ExecuteRoundSharded();
-
-  /// Step (1): shard s's transmitter stamping + local energy charges.
+  /// Shard s's pull-round transmitter stamping + local energy charges.
   void ShardTransmitPass(unsigned s);
-  /// Step (3): shard s's reception resolution + local energy charges.
+  /// Shard s's reception resolution + local energy charges.
   void ShardListenPass(unsigned s);
-  /// Deferred serial trace pass reproducing the unsharded two-phase event
-  /// order: all transmits in actor order, then all listens.
+  /// Shard s's actors in global actor order; the whole actor list when the
+  /// run is unsharded.
+  const std::vector<NodeId>& ShardActors(unsigned s) const noexcept {
+    return Sharded() ? shard_actors_[s] : actors_;
+  }
+  /// Serial trace pass in the two-phase event order: all transmits in actor
+  /// order, then all listens.
   void EmitRoundTrace();
   /// Edge-balanced contiguous node cut from the CSR offset array; also
   /// sizes the per-shard actor lists and transmit buffers.
@@ -254,23 +268,10 @@ class Scheduler {
     return work_items >= kParallelMinNodes ? shards_ : 1;
   }
 
-  /// Degree-sum cost model: the direction this round resolves in, given the
-  /// pending actions of `actors_`. Also validates actor rounds and feeds the
-  /// chan.* counters. Leaves the round's edge sums in round_tx_edges_ /
-  /// round_listen_edges_ for PhysicalDirection.
+  /// The direction this round resolves in (ResolveDirection over the
+  /// pending actions of `actors_`). Also validates actor rounds and feeds
+  /// the chan.* counters with the edges the chosen side scans.
   ChannelDirection ChooseDirection();
-
-  /// The direction the channel *physically* resolves in this round. For the
-  /// coroutine engine this is the cost-model direction unchanged. The flat
-  /// engine may substitute the cheaper pass: the pull-side word scan (an
-  /// AVX2/word-parallel sweep over the transmitter bitset) costs ~4x less
-  /// per edge than push's scattered per-neighbor deliveries, so a forced or
-  /// model push round with a large transmit side resolves faster as a pull
-  /// scan. Receptions are byte-identical in both directions (Channel's
-  /// documented contract, pinned by tests), and every chan.* metric is
-  /// recorded from the cost-model direction in ChooseDirection — so this is
-  /// unobservable in traces, energy, metrics, and reports.
-  ChannelDirection PhysicalDirection(ChannelDirection model_dir) const noexcept;
 
   const Graph* graph_;
   SchedulerConfig config_;
@@ -301,10 +302,6 @@ class Scheduler {
   std::unique_ptr<FlatProtocol> flat_;
   // Cached at SpawnFlat so the prefetch path pays no virtual call.
   FlatProtocol::LaneLayout flat_lanes_;
-  // Edge sums of the current round's actors, written by ChooseDirection and
-  // consumed by PhysicalDirection.
-  std::uint64_t round_tx_edges_ = 0;
-  std::uint64_t round_listen_edges_ = 0;
 
   // Nodes acting (transmit/listen) in round now_.
   std::vector<NodeId> actors_;
@@ -319,10 +316,11 @@ class Scheduler {
   std::vector<std::vector<NodeId>> shard_actors_;
   std::vector<std::vector<NodeId>> next_shard_actors_;
   std::vector<Channel::TxShardBuffer> tx_buffers_;
-  // Per-shard charge tallies from the parallel passes, summed serially into
-  // the EnergyMeter totals once per round.
+  // Per-shard charge tallies from the shard passes, summed serially into
+  // the EnergyMeter totals once per round. The listen tally has one entry
+  // when unsharded: the listener pass runs as the one-shard case.
   std::vector<std::uint64_t> shard_tx_count_;
-  std::vector<std::uint64_t> shard_listen_count_;
+  std::vector<std::uint64_t> shard_listen_count_ = std::vector<std::uint64_t>(1);
   std::uint64_t merge_words_ = 0;  ///< words OR-merged across all rounds
   std::uint64_t barrier_waits_base_ = 0;  ///< par::BarrierWaits at ctor
 

@@ -67,8 +67,9 @@ struct SweepConfig {
   /// backoff window is derived from Δ = n. This is where the commit
   /// mechanism's log log n listen windows beat the baselines' log Δ = log n.
   bool delta_unknown = false;
-  /// Channel resolution direction for every trial (cost knob only; points
-  /// are bit-identical across modes). `tweak` runs later and may override.
+  /// Channel resolution direction for every trial: kAuto, or a forced side
+  /// for tests (points are bit-identical across modes). `tweak` runs later
+  /// and may override.
   ChannelResolution resolution = ChannelResolution::kAuto;
   /// Ignored: residual compaction was removed; kept only so
   /// `emisbench/adapter.cpp` compiles until the benchmark harness drops it.

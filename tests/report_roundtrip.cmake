@@ -17,21 +17,22 @@ foreach(alg cd nocd)
   endif()
 endforeach()
 
-# Pull-resolution round-trip: the --resolution knob must thread through the
-# run pipeline and still emit a conforming document (with the alloc section).
-set(pull_report "${WORK_DIR}/report_cd_pull.json")
+# Sharded round-trip: the flat engine's sharded rounds must thread through
+# the run pipeline and still emit a conforming document (with the alloc
+# section).
+set(sharded_report "${WORK_DIR}/report_cd_sharded.json")
 execute_process(
   COMMAND ${EMIS_CLI} run --graph er:n=96,p=0.06 --alg cd --seed 2
-          --resolution pull --report-out ${pull_report} --quiet
-  RESULT_VARIABLE pull_rc)
-if(NOT pull_rc EQUAL 0)
-  message(FATAL_ERROR "emis_cli run --resolution pull failed (rc=${pull_rc})")
+          --engine flat --shards 4 --report-out ${sharded_report} --quiet
+  RESULT_VARIABLE sharded_rc)
+if(NOT sharded_rc EQUAL 0)
+  message(FATAL_ERROR "emis_cli run --engine flat --shards 4 failed (rc=${sharded_rc})")
 endif()
 execute_process(
-  COMMAND ${EMIS_CLI} validate-report ${pull_report}
-  RESULT_VARIABLE pull_validate_rc)
-if(NOT pull_validate_rc EQUAL 0)
-  message(FATAL_ERROR "validate-report rejected ${pull_report} (rc=${pull_validate_rc})")
+  COMMAND ${EMIS_CLI} validate-report ${sharded_report}
+  RESULT_VARIABLE sharded_validate_rc)
+if(NOT sharded_validate_rc EQUAL 0)
+  message(FATAL_ERROR "validate-report rejected ${sharded_report} (rc=${sharded_validate_rc})")
 endif()
 
 # Sweep round-trip on the parallel path: the emitted emis-bench-report/1

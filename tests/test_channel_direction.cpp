@@ -8,10 +8,14 @@
 //   * the counter-based fading stream is pinned against golden values, so
 //     an accidental reseeding or hash change fails loudly;
 //   * double transmitter registration throws instead of double-delivering;
-//   * ResolveDirection in isolation — forced overrides win, kAuto takes the
-//     strictly cheaper side and breaks ties toward push;
-//   * the scheduler's cost model picks the cheap side and feeds the chan.*
-//     counters, and its frame arena reaches a pooled steady state;
+//   * ResolveDirection in isolation — forced overrides win; kAuto pulls
+//     unless 4·Σdeg(tx) < Σdeg(listen) on a loss-free channel, and takes the
+//     strictly cheaper side (ties to push) on a lossy one;
+//   * the chan.* counters equal the physical channel work — each round's
+//     chosen-side degree sum, rebuilt from a trace — for both engines at
+//     every shard count, and auto's weighted cost is no more than either
+//     forced mode's; the scheduler's frame arena reaches a pooled steady
+//     state;
 //   * the payload tie-break contract: a reception's payload is observable
 //     only when exactly one transmitter survives; >= 2 survivors perceive as
 //     collision/silence/beep with payload 0, in both directions;
@@ -22,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/contracts.hpp"
@@ -155,20 +160,38 @@ TEST(CounterHashGolden, LinkErasedPattern) {
 // --- ResolveDirection (the cost model in isolation) -------------------------
 
 TEST(ResolveDirection, ForcedOverridesWinUnconditionally) {
-  EXPECT_EQ(ResolveDirection(ChannelResolution::kPush, 1, 1000),
-            ChannelDirection::kPush);
-  EXPECT_EQ(ResolveDirection(ChannelResolution::kPull, 1000, 1),
-            ChannelDirection::kPull);
+  for (const bool lossy : {false, true}) {
+    EXPECT_EQ(ResolveDirection(ChannelResolution::kPush, 1000, 1, lossy),
+              ChannelDirection::kPush);
+    EXPECT_EQ(ResolveDirection(ChannelResolution::kPull, 1, 1000, lossy),
+              ChannelDirection::kPull);
+  }
 }
 
 TEST(ResolveDirection, AutoTakesCheaperSideTiesToPush) {
-  EXPECT_EQ(ResolveDirection(ChannelResolution::kAuto, 10, 3),
+  // Loss-free: a pull edge costs a quarter of a push edge, so push needs
+  // 4·Σdeg(tx) strictly below Σdeg(listen); ties go to pull.
+  EXPECT_EQ(ResolveDirection(ChannelResolution::kAuto, 10, 3, false),
             ChannelDirection::kPull);
-  EXPECT_EQ(ResolveDirection(ChannelResolution::kAuto, 3, 10),
+  EXPECT_EQ(ResolveDirection(ChannelResolution::kAuto, 3, 10, false),
+            ChannelDirection::kPull);
+  EXPECT_EQ(ResolveDirection(ChannelResolution::kAuto, 3, 12, false),
+            ChannelDirection::kPull);
+  EXPECT_EQ(ResolveDirection(ChannelResolution::kAuto, 3, 13, false),
             ChannelDirection::kPush);
-  EXPECT_EQ(ResolveDirection(ChannelResolution::kAuto, 7, 7),
+  EXPECT_EQ(ResolveDirection(ChannelResolution::kAuto, 0, 0, false),
+            ChannelDirection::kPull);
+  EXPECT_EQ(ResolveDirection(ChannelResolution::kAuto, 0, 1, false),
             ChannelDirection::kPush);
-  EXPECT_EQ(ResolveDirection(ChannelResolution::kAuto, 0, 0),
+  // Lossy: both sides scan scalar, so the cheaper side wins unweighted,
+  // ties to push.
+  EXPECT_EQ(ResolveDirection(ChannelResolution::kAuto, 10, 3, true),
+            ChannelDirection::kPull);
+  EXPECT_EQ(ResolveDirection(ChannelResolution::kAuto, 3, 10, true),
+            ChannelDirection::kPush);
+  EXPECT_EQ(ResolveDirection(ChannelResolution::kAuto, 7, 7, true),
+            ChannelDirection::kPush);
+  EXPECT_EQ(ResolveDirection(ChannelResolution::kAuto, 0, 0, true),
             ChannelDirection::kPush);
 }
 
@@ -297,21 +320,137 @@ TEST(SchedulerResolution, CountersTrackForcedDirections) {
   }
 }
 
-TEST(SchedulerResolution, AutoScansNoMoreEdgesThanEitherForcedMode) {
-  // The per-round min over {push cost, pull cost} is <= either forced total.
+/// Rebuilds each executed round's transmit- and listen-side static degree
+/// sums from the trace (every executed round has at least one event).
+class DegreeSumTrace final : public TraceSink {
+ public:
+  struct Sums {
+    Round round = 0;
+    std::uint64_t tx = 0;
+    std::uint64_t listen = 0;
+  };
+  explicit DegreeSumTrace(const Graph& g) : graph_(&g) {}
+  void OnEvent(const TraceEvent& e) override {
+    if (rounds.empty() || rounds.back().round != e.round) rounds.push_back({e.round});
+    (e.action == ActionKind::kTransmit ? rounds.back().tx : rounds.back().listen) +=
+        graph_->Degree(e.node);
+  }
+  std::vector<Sums> rounds;
+
+ private:
+  const Graph* graph_;
+};
+
+/// The side the channel physically resolves an auto round on, restated
+/// from the per-edge costs: a loss-free pull edge is a word-kernel probe at
+/// about a quarter of a push delivery; lossy scans are scalar on both sides.
+bool PhysicallyPushes(const DegreeSumTrace::Sums& r, bool lossy) {
+  return lossy ? r.tx <= r.listen : 4 * r.tx < r.listen;
+}
+
+struct ChanCounters {
+  std::uint64_t edges = 0;
+  std::uint64_t push_rounds = 0;
+  std::uint64_t pull_rounds = 0;
+  std::uint64_t executed = 0;
+  std::vector<DegreeSumTrace::Sums> rounds;
+};
+
+ChanCounters RunCounted(const Graph& g, MisRunConfig cfg) {
+  obs::MetricsRegistry metrics;
+  DegreeSumTrace trace(g);
+  cfg.metrics = &metrics;
+  cfg.trace = &trace;
+  const MisRunResult r = RunMis(g, cfg);
+  EXPECT_TRUE(r.Valid() || cfg.link_loss > 0.0);
+  return {metrics.GetCounter("chan.edges_scanned").Value(),
+          metrics.GetCounter("chan.push_rounds").Value(),
+          metrics.GetCounter("chan.pull_rounds").Value(),
+          metrics.GetCounter("sched.rounds_executed").Value(),
+          std::move(trace.rounds)};
+}
+
+TEST(SchedulerResolution, CountersEqualPhysicalWork) {
+  // Both engines, every shard count, reliable and lossy: chan.edges_scanned
+  // is the sum over rounds of the physically chosen side's degree sum, and
+  // every executed round is counted once as push or pull. The ER graph is
+  // large enough (2048 >= the scheduler's pool threshold of 1024 actors)
+  // for the sharded passes to run on the pool; the no-CD star has rounds
+  // where a few leaves transmit to the listening hub, which resolve push —
+  // in sharded runs through the serial push delivery.
+  struct Case {
+    const char* name;
+    Graph graph;
+    MisAlgorithm algorithm;
+  };
+  Rng rng(31);
+  const Case cases[] = {
+      {"star nocd", gen::Star(256), MisAlgorithm::kNoCd},
+      {"er cd", gen::ErdosRenyi(2048, 16.0 / 2048.0, rng), MisAlgorithm::kCd},
+  };
+  struct Cell {
+    ExecutionEngine engine;
+    unsigned shards;
+  };
+  const Cell cells[] = {{ExecutionEngine::kCoroutine, 1},
+                        {ExecutionEngine::kFlat, 1},
+                        {ExecutionEngine::kFlat, 2},
+                        {ExecutionEngine::kFlat, 4}};
+  for (const Case& c : cases) {
+    for (const Cell& cell : cells) {
+      for (const double loss : {0.0, 0.1}) {
+        const ChanCounters run = RunCounted(
+            c.graph, {.algorithm = c.algorithm, .seed = 3, .engine = cell.engine,
+                      .shards = cell.shards, .link_loss = loss});
+        std::uint64_t edges = 0;
+        std::uint64_t pushes = 0;
+        for (const DegreeSumTrace::Sums& r : run.rounds) {
+          const bool push = PhysicallyPushes(r, loss > 0.0);
+          edges += push ? r.tx : r.listen;
+          pushes += push ? 1 : 0;
+        }
+        const std::string where = std::string(c.name) + " " +
+                                  std::string(ToString(cell.engine)) + " x" +
+                                  std::to_string(cell.shards) + " loss " +
+                                  std::to_string(loss);
+        EXPECT_EQ(run.edges, edges) << where;
+        EXPECT_EQ(run.push_rounds, pushes) << where;
+        EXPECT_EQ(run.push_rounds + run.pull_rounds, run.executed) << where;
+        EXPECT_EQ(run.rounds.size(), run.executed) << where;
+        if (c.algorithm == MisAlgorithm::kNoCd && cell.shards > 1) {
+          EXPECT_GT(run.push_rounds, 0u) << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(SchedulerResolution, AutoCostsNoMoreThanEitherForcedMode) {
+  // Weighted by the rule's per-edge costs (a loss-free push edge costs 4, a
+  // pull edge 1), auto pays min(4·Σdeg(tx), Σdeg(listen)) per round, so its
+  // run total is <= either forced mode's. Receptions are identical in all
+  // three modes, so the per-round sums are too.
   Rng rng(23);
   const Graph g = gen::ErdosRenyi(128, 0.1, rng);
-  auto scanned = [&](ChannelResolution res) {
-    obs::MetricsRegistry metrics;
-    const MisRunResult r = RunMis(
-        g, {.algorithm = MisAlgorithm::kCd, .seed = 4, .resolution = res,
-            .metrics = &metrics});
-    EXPECT_TRUE(r.Valid());
-    return metrics.GetCounter("chan.edges_scanned").Value();
+  auto counted = [&](ChannelResolution res) {
+    return RunCounted(g, {.algorithm = MisAlgorithm::kCd, .seed = 4,
+                          .resolution = res});
   };
-  const std::uint64_t auto_edges = scanned(ChannelResolution::kAuto);
-  EXPECT_LE(auto_edges, scanned(ChannelResolution::kPush));
-  EXPECT_LE(auto_edges, scanned(ChannelResolution::kPull));
+  const ChanCounters push = counted(ChannelResolution::kPush);
+  const ChanCounters pull = counted(ChannelResolution::kPull);
+  const ChanCounters automatic = counted(ChannelResolution::kAuto);
+  std::uint64_t auto_cost = 0;
+  std::uint64_t auto_edges = 0;
+  for (const DegreeSumTrace::Sums& r : automatic.rounds) {
+    const bool pushes = PhysicallyPushes(r, false);
+    auto_cost += pushes ? 4 * r.tx : r.listen;
+    auto_edges += pushes ? r.tx : r.listen;
+  }
+  EXPECT_EQ(automatic.edges, auto_edges);
+  EXPECT_GT(automatic.push_rounds, 0u);
+  EXPECT_GT(automatic.pull_rounds, 0u);
+  EXPECT_LE(auto_cost, 4 * push.edges);
+  EXPECT_LE(auto_cost, pull.edges);
 }
 
 TEST(SchedulerResolution, AutoPullsWhenListenersAreCheap) {

@@ -6,16 +6,15 @@
 //   emis_cli graph pack --graph <spec | file:PATH> [--seed S] --out FILE.csr
 //   emis_cli run   --graph <spec | file:PATH | csr:PATH> --alg <name>
 //                  [--seed S] [--preset practical|theory] [--delta-unknown]
-//                  [--resolution auto|push|pull] [--engine coroutine|flat]
-//                  [--shards N]
+//                  [--engine coroutine|flat] [--shards N]
 //                  [--trace FILE.csv] [--trace-jsonl FILE.jsonl]
 //                  [--report-out FILE.json] [--flamegraph-out FILE.txt]
 //                  [--telemetry-out PATH|fd:N] [--heartbeat-every R]
 //                  [--metrics-text FILE.prom] [--quiet]
 //   emis_cli sweep --alg <name> --family <er|udg|star|tree|matching|complete>
 //                  --sizes 64,128,... [--seeds K] [--avg-degree D]
-//                  [--delta-unknown] [--resolution auto|push|pull]
-//                  [--engine coroutine|flat] [--shards N] [--jobs N]
+//                  [--delta-unknown] [--engine coroutine|flat]
+//                  [--shards N] [--jobs N]
 //                  [--report-out FILE.json]
 //                  [--telemetry-out PATH|fd:N] [--heartbeat-every R]
 //                  [--metrics-text FILE.prom] [--quiet]
@@ -27,6 +26,7 @@
 // take).
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -106,12 +106,51 @@ Flags Parse(int argc, char** argv, int first,
   return flags;
 }
 
-ChannelResolution ResolutionFlag(const Flags& flags) {
-  const std::string text = flags.Get("resolution", "auto");
-  const ChannelResolution r = ChannelResolutionFromString(text);
-  EMIS_REQUIRE(r != kInvalidChannelResolution,
-               "--resolution must be auto, push or pull (got '" + text + "')");
-  return r;
+/// Parses `text` as a decimal integer in [min, max] for flag --`name`. The
+/// whole string must be digits: no sign, no whitespace, no suffix, and a
+/// value past the range is an error, never wrapped or truncated.
+std::uint64_t ParseUnsigned(std::string_view name, const std::string& text,
+                            std::uint64_t min, std::uint64_t max) {
+  std::uint64_t value = 0;
+  const auto [ptr, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  const std::string flag = "--" + std::string(name);
+  EMIS_REQUIRE(!text.empty() && ec != std::errc::invalid_argument &&
+                   ptr == text.data() + text.size(),
+               flag + " needs a decimal integer (got '" + text + "')");
+  EMIS_REQUIRE(ec == std::errc{} && value >= min && value <= max,
+               flag + " must be in [" + std::to_string(min) + ", " +
+                   std::to_string(max) + "] (got '" + text + "')");
+  return value;
+}
+
+/// The flag's checked value, or `fallback` when the flag is absent.
+std::uint64_t UnsignedFlag(const Flags& flags, const std::string& name,
+                           std::uint64_t fallback, std::uint64_t min,
+                           std::uint64_t max) {
+  return flags.Has(name) ? ParseUnsigned(name, flags.Get(name), min, max)
+                         : fallback;
+}
+
+std::uint64_t SeedFlag(const Flags& flags) {
+  return UnsignedFlag(flags, "seed", 1, 0, ~std::uint64_t{0});
+}
+
+Round HeartbeatFlag(const Flags& flags) {
+  return UnsignedFlag(flags, "heartbeat-every", 1, 1, ~Round{0});
+}
+
+/// `--avg-degree`: a finite, non-negative decimal (nan or inf would make
+/// every edge probability 1 and silently sweep complete graphs).
+double AvgDegreeFlag(const Flags& flags) {
+  const std::string text = flags.Get("avg-degree", "8");
+  double value = 0.0;
+  const auto [ptr, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  EMIS_REQUIRE(ec == std::errc{} && ptr == text.data() + text.size() &&
+                   std::isfinite(value) && value >= 0.0,
+               "--avg-degree must be a finite number >= 0 (got '" + text + "')");
+  return value;
 }
 
 ExecutionEngine EngineFlag(const Flags& flags) {
@@ -124,30 +163,8 @@ ExecutionEngine EngineFlag(const Flags& flags) {
 }
 
 unsigned ShardsFlag(const Flags& flags) {
-  const std::string text =
-      flags.Get("shards", std::to_string(DefaultShards()));
-  unsigned long value = 0;
-  try {
-    value = std::stoul(text);
-  } catch (const std::exception&) {
-    value = 0;
-  }
-  EMIS_REQUIRE(value >= 1 && value <= 256,
-               "--shards must be in [1, 256] (got '" + text + "')");
-  return static_cast<unsigned>(value);
-}
-
-/// One `--sizes` entry: a decimal node count below the kInvalidNode
-/// sentinel. Digits only — std::stoul would accept "-1" and wrap it.
-NodeId SizeItem(const std::string& item) {
-  std::uint64_t value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(item.data(), item.data() + item.size(), value);
-  EMIS_REQUIRE(ec == std::errc{} && ptr == item.data() + item.size(),
-               "--sizes entry '" + item + "' is not a node count");
-  EMIS_REQUIRE(value < kInvalidNode,
-               "--sizes entry '" + item + "' does not fit a node id");
-  return static_cast<NodeId>(value);
+  return static_cast<unsigned>(
+      UnsignedFlag(flags, "shards", DefaultShards(), 1, 256));
 }
 
 Graph LoadGraph(const std::string& source, std::uint64_t seed) {
@@ -181,7 +198,7 @@ int CmdAlgorithms() {
 
 int CmdGen(const Flags& flags) {
   EMIS_REQUIRE(flags.positional.size() == 1, "gen needs exactly one graph spec");
-  const std::uint64_t seed = std::stoull(flags.Get("seed", "1"));
+  const std::uint64_t seed = SeedFlag(flags);
   Rng rng(seed);
   const Graph g = GraphFromSpec(flags.positional[0], rng);
   const std::string out_path = flags.Get("out");
@@ -202,7 +219,7 @@ int CmdGraphPack(const Flags& flags) {
   EMIS_REQUIRE(!graph_spec.empty(), "graph pack needs --graph <spec|file:PATH>");
   const std::string out_path = flags.Get("out");
   EMIS_REQUIRE(!out_path.empty(), "graph pack needs --out FILE.csr");
-  const std::uint64_t seed = std::stoull(flags.Get("seed", "1"));
+  const std::uint64_t seed = SeedFlag(flags);
   const Graph g = LoadGraph(graph_spec, seed);
   std::ofstream out(out_path, std::ios::binary);
   EMIS_REQUIRE(out.good(), "cannot write '" + out_path + "'");
@@ -225,7 +242,7 @@ int CmdRun(const Flags& flags) {
                "unknown algorithm '" + alg_name + "' (see `emis_cli algorithms`)");
   const std::string graph_spec = flags.Get("graph");
   EMIS_REQUIRE(!graph_spec.empty(), "run needs --graph <spec|file:PATH>");
-  const std::uint64_t seed = std::stoull(flags.Get("seed", "1"));
+  const std::uint64_t seed = SeedFlag(flags);
 
   const Graph g = LoadGraph(graph_spec, seed);
 
@@ -234,7 +251,6 @@ int CmdRun(const Flags& flags) {
   EMIS_REQUIRE(preset == "practical" || preset == "theory",
                "--preset must be practical or theory");
   cfg.preset = preset == "theory" ? ParamPreset::kTheory : ParamPreset::kPractical;
-  cfg.resolution = ResolutionFlag(flags);
   cfg.engine = EngineFlag(flags);
   cfg.shards = ShardsFlag(flags);
   if (flags.Has("delta-unknown")) cfg.delta_estimate = g.NumNodes();
@@ -278,10 +294,7 @@ int CmdRun(const Flags& flags) {
   if (want_telemetry) {
     telemetry_stream = obs::OpenTelemetryStream(flags.Get("telemetry-out"));
     obs::StreamSinkConfig sink_config;
-    sink_config.heartbeat_every =
-        static_cast<Round>(std::stoull(flags.Get("heartbeat-every", "1")));
-    EMIS_REQUIRE(sink_config.heartbeat_every > 0,
-                 "--heartbeat-every must be >= 1");
+    sink_config.heartbeat_every = HeartbeatFlag(flags);
     telemetry.emplace(sink_config);
     cfg.telemetry = &*telemetry;
     obs::JsonValue begin = obs::JsonValue::MakeObject();
@@ -398,9 +411,9 @@ int CmdSweep(const Flags& flags) {
 
   SweepConfig cfg;
   cfg.algorithm = alg_it->second;
-  cfg.seeds_per_size = static_cast<std::uint32_t>(std::stoul(flags.Get("seeds", "5")));
+  cfg.seeds_per_size = static_cast<std::uint32_t>(
+      UnsignedFlag(flags, "seeds", 5, 1, ~std::uint32_t{0}));
   cfg.delta_unknown = flags.Has("delta-unknown");
-  cfg.resolution = ResolutionFlag(flags);
   cfg.engine = EngineFlag(flags);
   cfg.shards = ShardsFlag(flags);
   // Sweep-wide metrics (merged across worker shards) feed the report's
@@ -410,12 +423,15 @@ int CmdSweep(const Flags& flags) {
   cfg.metrics = &metrics;
   std::istringstream ss(sizes_csv);
   std::string item;
-  while (std::getline(ss, item, ',')) cfg.sizes.push_back(SizeItem(item));
+  while (std::getline(ss, item, ',')) {
+    cfg.sizes.push_back(
+        static_cast<NodeId>(ParseUnsigned("sizes", item, 0, kInvalidNode - 1)));
+  }
   EMIS_REQUIRE(!cfg.sizes.empty(), "--sizes needs at least one node count");
   if (family == "er") {
-    cfg.factory = families::SparseErdosRenyi(std::stod(flags.Get("avg-degree", "8")));
+    cfg.factory = families::SparseErdosRenyi(AvgDegreeFlag(flags));
   } else if (family == "udg") {
-    cfg.factory = families::UnitDisk(std::stod(flags.Get("avg-degree", "8")));
+    cfg.factory = families::UnitDisk(AvgDegreeFlag(flags));
   } else if (family == "star") {
     cfg.factory = families::StarFamily();
   } else if (family == "tree") {
@@ -428,19 +444,16 @@ int CmdSweep(const Flags& flags) {
     throw PreconditionError("unknown sweep family '" + family +
                             "' (er, udg, star, tree, matching, complete)");
   }
-  const unsigned jobs = flags.Has("jobs")
-                            ? static_cast<unsigned>(std::stoul(flags.Get("jobs")))
-                            : par::DefaultJobs();
+  // 0 means every hardware thread (RunSweep's convention).
+  const unsigned jobs = static_cast<unsigned>(
+      UnsignedFlag(flags, "jobs", par::DefaultJobs(), 0, 256));
   // Streaming telemetry: the sweep gives each trial a private sink and
   // concatenates the drained blobs in (size, seed) order, so this stream is
   // byte-identical at any --jobs. The sweep-level envelopes frame it.
   std::unique_ptr<std::ostream> telemetry_stream;
   if (flags.Has("telemetry-out")) {
     telemetry_stream = obs::OpenTelemetryStream(flags.Get("telemetry-out"));
-    cfg.telemetry_config.heartbeat_every =
-        static_cast<Round>(std::stoull(flags.Get("heartbeat-every", "1")));
-    EMIS_REQUIRE(cfg.telemetry_config.heartbeat_every > 0,
-                 "--heartbeat-every must be >= 1");
+    cfg.telemetry_config.heartbeat_every = HeartbeatFlag(flags);
     cfg.telemetry_out = telemetry_stream.get();
     obs::JsonValue begin = obs::JsonValue::MakeObject();
     begin.Set("schema", obs::kTelemetrySchema);
@@ -528,9 +541,8 @@ int CmdValidateReport(const Flags& flags) {
 }
 
 /// The usage text, shared by `help` (exit 0) and usage errors (exit 2).
-/// Every run/sweep cost knob (--resolution, --engine, --shards) is
-/// listed for both commands; tests/golden/emis_cli_help.txt snapshots this
-/// output.
+/// Every run/sweep cost knob (--engine, --shards) is listed for both
+/// commands; tests/golden/emis_cli_help.txt snapshots this output.
 void PrintUsage() {
   std::printf(
       "usage:\n"
@@ -540,7 +552,6 @@ void PrintUsage() {
       "  emis_cli graph pack --graph <spec|file:PATH> [--seed S] --out FILE.csr\n"
       "  emis_cli run --graph <spec|file:PATH|csr:PATH> --alg <name> [--seed S]\n"
       "               [--preset practical|theory] [--delta-unknown]\n"
-      "               [--resolution auto|push|pull]\n"
       "               [--engine coroutine|flat] [--shards N]\n"
       "               [--trace FILE.csv] [--trace-jsonl FILE.jsonl]\n"
       "               [--report-out FILE.json] [--flamegraph-out FILE.txt]\n"
@@ -548,16 +559,14 @@ void PrintUsage() {
       "               [--metrics-text FILE.prom] [--quiet]\n"
       "  emis_cli sweep --alg <name> --family <er|udg|star|tree|matching|complete>\n"
       "               --sizes 64,128,... [--seeds K] [--avg-degree D]\n"
-      "               [--delta-unknown] [--resolution auto|push|pull]\n"
-      "               [--engine coroutine|flat] [--shards N] [--jobs N]\n"
+      "               [--delta-unknown] [--engine coroutine|flat]\n"
+      "               [--shards N] [--jobs N]\n"
       "               [--report-out FILE.json]\n"
       "               [--telemetry-out PATH|fd:N] [--heartbeat-every R]\n"
       "               [--metrics-text FILE.prom] [--quiet]\n"
       "  emis_cli validate-report FILE.json\n"
       "                (run, bench, diff, and emis-lint-report/1|/2 schemas)\n"
       "cost knobs (identical results, different cost):\n"
-      "  --resolution  channel direction: auto picks per round by degree\n"
-      "                sums; push/pull force one side\n"
       "  --engine      execution backend: coroutine (default; override via\n"
       "                EMIS_ENGINE) resumes one coroutine per awake node;\n"
       "                flat advances packed per-node state machines\n"
@@ -602,8 +611,8 @@ int Main(int argc, char** argv) {
     if (cmd == "run") {
       return CmdRun(Parse(
           argc, argv, 2,
-          {"graph", "alg", "seed", "preset", "delta-unknown", "resolution",
-           "engine", "shards", "trace", "trace-jsonl", "report-out",
+          {"graph", "alg", "seed", "preset", "delta-unknown", "engine",
+           "shards", "trace", "trace-jsonl", "report-out",
            "flamegraph-out", "telemetry-out", "heartbeat-every",
            "metrics-text", "quiet"}));
     }
@@ -611,7 +620,7 @@ int Main(int argc, char** argv) {
       return CmdSweep(Parse(
           argc, argv, 2,
           {"alg", "family", "sizes", "seeds", "avg-degree", "delta-unknown",
-           "resolution", "engine", "shards", "jobs", "report-out",
+           "engine", "shards", "jobs", "report-out",
            "telemetry-out", "heartbeat-every", "metrics-text", "quiet"}));
     }
     if (cmd == "validate-report") {
