@@ -9,7 +9,8 @@
 //     in the same direction, so identical physical scan work proves the
 //     speedup is pure dispatch, not a different (cheaper) round schedule;
 //   * throughput — full RunMis at n = 2^20 (override with EMIS_BENCH_N) on
-//     a degree-256 G(n,p), both engines on auto resolution: the flat engine
+//     a degree-256 G(n,p), both engines on auto resolution, best of three
+//     interleaved runs per engine at every size: the flat engine
 //     must sustain >= 1.8x coroutine throughput at the calibrated size
 //     (measured ~2.0x on a 4-core x86-64 box: both engines share the
 //     weighted direction rule and the AVX2 word-scan kernel, so the gap is
@@ -19,7 +20,8 @@
 //     (n >= 2^14, where the working set still fits in cache, both engines
 //     are dispatch-bound, and the flat engine's advantage is smallest —
 //     measured 1.7-2.0x on the same box);
-//   * crossover — an n sweep (degree 64) timing both engines per size, the
+//   * crossover — an n sweep (degree 64) timing both engines per size
+//     (best of three interleaved runs, like the throughput leg), the
 //     EXPERIMENTS.md E21 table: flat's advantage must grow with n (the
 //     coroutine engine pays per-frame cache misses that the SoA sweep
 //     amortizes); EMIS_BENCH_SWEEP_MAX_N raises the largest size (2^24 is
@@ -75,6 +77,27 @@ TimedRun RunOnce(const Graph& g, MisAlgorithm algorithm, ExecutionEngine engine,
           metrics.GetGauge("mem.lane_bytes").Value()};
 }
 
+struct EnginePair {
+  TimedRun coro;
+  TimedRun flat;
+};
+
+/// Best wall of three runs per engine, interleaved (coroutine, flat,
+/// coroutine, ...) so a scheduler hiccup or a drift in machine load hits
+/// both engines alike instead of deciding a verdict. The runs are
+/// deterministic, so every non-time field is the same in all three.
+EnginePair BestOfThree(const Graph& g, MisAlgorithm algorithm,
+                       std::uint64_t seed) {
+  EnginePair best;
+  for (int i = 0; i < 3; ++i) {
+    const TimedRun coro = RunOnce(g, algorithm, ExecutionEngine::kCoroutine, seed);
+    const TimedRun flat = RunOnce(g, algorithm, ExecutionEngine::kFlat, seed);
+    if (i == 0 || coro.seconds < best.coro.seconds) best.coro = coro;
+    if (i == 0 || flat.seconds < best.flat.seconds) best.flat = flat;
+  }
+  return best;
+}
+
 // --- equivalence ------------------------------------------------------------
 
 void CheckEquivalence() {
@@ -127,23 +150,14 @@ void CheckThroughput() {
   Rng rng(42);
   const Graph g = gen::ErdosRenyi(n, 256.0 / static_cast<double>(n), rng);
 
-  const int repeats = n >= (1u << 18) ? 1 : 3;
-  TimedRun coro = RunOnce(g, algorithm, ExecutionEngine::kCoroutine, 1);
-  TimedRun flat = RunOnce(g, algorithm, ExecutionEngine::kFlat, 1);
-  for (int i = 1; i < repeats; ++i) {
-    const TimedRun c2 = RunOnce(g, algorithm, ExecutionEngine::kCoroutine, 1);
-    if (c2.seconds < coro.seconds) coro = c2;
-    const TimedRun f2 = RunOnce(g, algorithm, ExecutionEngine::kFlat, 1);
-    if (f2.seconds < flat.seconds) flat = f2;
-  }
+  const auto [coro, flat] = BestOfThree(g, algorithm, 1);
   EMIS_REQUIRE(coro.rounds == flat.rounds && coro.rounds > 0,
                "engines must agree on the round count");
 
   const double coro_rps = static_cast<double>(coro.rounds) / coro.seconds;
   const double flat_rps = static_cast<double>(flat.rounds) / flat.seconds;
   const double speedup = coro.seconds / flat.seconds;
-  Table table({"engine", "wall s (best of " + std::to_string(repeats) + ")",
-               "rounds/s", "edges scanned"});
+  Table table({"engine", "wall s (best of 3)", "rounds/s", "edges scanned"});
   table.AddRow({"coroutine", Fmt(coro.seconds, 3), Fmt(coro_rps, 0),
                 std::to_string(coro.edges_scanned)});
   table.AddRow({"flat", Fmt(flat.seconds, 3), Fmt(flat_rps, 0),
@@ -190,15 +204,12 @@ void CheckCrossover() {
   for (NodeId n = 1u << 12; n <= max_n; n <<= 2) sizes.push_back(n);
   if (sizes.empty()) sizes.push_back(max_n);
 
-  Table table({"n", "coroutine s", "flat s", "speedup"});
+  Table table({"n", "coroutine s (best of 3)", "flat s (best of 3)", "speedup"});
   std::vector<double> speedups;
   for (const NodeId n : sizes) {
     Rng rng(9);
     const Graph g = gen::ErdosRenyi(n, 64.0 / static_cast<double>(n), rng);
-    const TimedRun coro = RunOnce(g, MisAlgorithm::kCd,
-                                  ExecutionEngine::kCoroutine, 3);
-    const TimedRun flat = RunOnce(g, MisAlgorithm::kCd,
-                                  ExecutionEngine::kFlat, 3);
+    const auto [coro, flat] = BestOfThree(g, MisAlgorithm::kCd, 3);
     const double speedup = coro.seconds / flat.seconds;
     speedups.push_back(speedup);
     table.AddRow({std::to_string(n), Fmt(coro.seconds, 3),

@@ -10,8 +10,9 @@
 //     counts, so any speedup is pure parallelism, not a different schedule;
 //   * mmap format — pack the bench topology into emis-csr/1, map it back,
 //     and measure resident-set growth: the zero-copy loader must fault in
-//     a sliver of the adjacency bytes (O(1)-page validation + lazy paging),
-//     and a run on the mapped graph must match the owned-graph run;
+//     a sliver of the adjacency bytes (its O(n + m) validation reads the
+//     file, not the mapping, so only O(1) mapped pages fault at load), and
+//     a run on the mapped graph must match the owned-graph run;
 //   * scaling curve — full RunMis(cd) at n = 2^22, average degree 256
 //     (override with EMIS_BENCH_N) for shards in {1, 2, 4, 8}: the
 //     EXPERIMENTS.md E22 table. With >= 8 hardware threads at the
@@ -145,8 +146,9 @@ void CheckMappedFormat() {
       .Set(static_cast<double>(adjacency_bytes));
   bench::Metrics().GetGauge("csr.load_rss_delta_bytes")
       .Set(static_cast<double>(delta));
-  // Validation touches the header page and the two ends of the offsets
-  // section; with transparent huge pages each touch can fault up to 2 MB.
+  // Through the mapping, validation touches the header page and the two
+  // ends of the offsets section; with transparent huge pages each touch can
+  // fault up to 2 MB.
   // 8 MB of slack stays an order of magnitude under the ~67 MB adjacency.
   bench::Verdict(delta < adjacency_bytes / 4 + (8u << 20),
                  "mmap load faulted " + std::to_string(delta) +

@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <charconv>
 #include <cstring>
@@ -12,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <ostream>
+#include <span>
 #include <sstream>
 #include <vector>
 
@@ -91,6 +93,30 @@ void WriteZeroPad(std::ostream& out, std::uint64_t from, std::uint64_t to) {
   out.write(kZeros, static_cast<std::streamsize>(to - from));
 }
 
+/// Streams `count` elements of T, starting at byte `start` of `fd`, through
+/// a bounded buffer and hands each chunk to `check`. Reads go through the
+/// page cache, not the mapping, so validation leaves the mapping's pages
+/// unfaulted.
+template <typename T, typename Check>
+void ScanCsrSection(int fd, std::uint64_t start, std::uint64_t count,
+                    const Check& check) {
+  constexpr std::uint64_t kChunkElems = (std::uint64_t{1} << 20) / sizeof(T);
+  std::vector<T> chunk(std::min(count, kChunkElems));
+  for (std::uint64_t done = 0; done < count;) {
+    const std::uint64_t take = std::min<std::uint64_t>(count - done, chunk.size());
+    auto* out = reinterpret_cast<char*>(chunk.data());
+    std::uint64_t got = 0;
+    while (got < take * sizeof(T)) {
+      const ::ssize_t r = ::pread(fd, out + got, take * sizeof(T) - got,
+                                  static_cast<::off_t>(start + done * sizeof(T) + got));
+      EMIS_REQUIRE(r > 0, "emis-csr read failed during validation");
+      got += static_cast<std::uint64_t>(r);
+    }
+    check(std::span<const T>(chunk.data(), take));
+    done += take;
+  }
+}
+
 }  // namespace
 
 void WriteBinaryCsr(std::ostream& out, const Graph& graph) {
@@ -135,7 +161,8 @@ Graph MapBinaryCsr(const std::string& path) {
       ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd.fd, 0);
   EMIS_REQUIRE(base != MAP_FAILED, "cannot mmap graph file: " + path);
   // Owner constructed immediately so every validation failure below
-  // unmaps; the fd can close now (the mapping keeps its own reference).
+  // unmaps; the fd stays open only for the validation reads (the mapping
+  // keeps its own reference).
   std::shared_ptr<const void> owner(
       base, [size](const void* p) { ::munmap(const_cast<void*>(p), size); });
 
@@ -143,6 +170,11 @@ Graph MapBinaryCsr(const std::string& path) {
   EMIS_REQUIRE(header.file_size == size,
                "emis-csr file truncated or padded: size does not match header");
   EMIS_REQUIRE(header.num_nodes < ~NodeId{0}, "emis-csr node count overflows NodeId");
+  // Bound every header field by the file size before any sum below, so no
+  // hostile value can wrap the section-bounds arithmetic.
+  EMIS_REQUIRE(header.offsets_start <= size && header.adjacency_start <= size &&
+                   header.adj_entries <= size / sizeof(NodeId),
+               "emis-csr section bounds exceed the file");
   const std::uint64_t offsets_bytes = (header.num_nodes + 1) * sizeof(std::uint64_t);
   const std::uint64_t adjacency_bytes = header.adj_entries * sizeof(NodeId);
   EMIS_REQUIRE(header.offsets_start % kCsrAlign == 0 &&
@@ -158,10 +190,34 @@ Graph MapBinaryCsr(const std::string& path) {
       reinterpret_cast<const std::uint64_t*>(bytes + header.offsets_start);
   const auto* adjacency =
       reinterpret_cast<const NodeId*>(bytes + header.adjacency_start);
-  // Row-offset sanity at O(1) cost (ends only; interior pages stay cold so
-  // the load never touches the full arrays).
   EMIS_REQUIRE(offsets[0] == 0 && offsets[header.num_nodes] == header.adj_entries,
                "emis-csr offset array does not span the adjacency section");
+  // One O(n + m) pass over both sections, so a hostile file fails here
+  // instead of sending a round out of bounds: offsets must not decrease
+  // (every row then lies inside the adjacency section), every neighbor id
+  // must name a node, and max_degree must be the longest row.
+  std::uint64_t prev = 0;
+  std::uint64_t longest = 0;
+  bool monotone = true;
+  ScanCsrSection<std::uint64_t>(
+      fd.fd, header.offsets_start, header.num_nodes + 1,
+      [&](std::span<const std::uint64_t> part) {
+        for (const std::uint64_t offset : part) {
+          monotone = monotone && offset >= prev;
+          longest = std::max(longest, offset - prev);
+          prev = offset;
+        }
+      });
+  EMIS_REQUIRE(monotone, "emis-csr row offsets decrease");
+  EMIS_REQUIRE(longest == header.max_degree,
+               "emis-csr max_degree does not match the longest row");
+  NodeId largest = 0;
+  ScanCsrSection<NodeId>(fd.fd, header.adjacency_start, header.adj_entries,
+                         [&](std::span<const NodeId> part) {
+                           for (const NodeId id : part) largest = std::max(largest, id);
+                         });
+  EMIS_REQUIRE(header.adj_entries == 0 || largest < header.num_nodes,
+               "emis-csr adjacency holds a node id out of range");
   AdviseHugePages(const_cast<char*>(bytes), size);
   return Graph::FromMappedCsr(std::move(owner), offsets,
                               static_cast<NodeId>(header.num_nodes), adjacency,

@@ -58,12 +58,15 @@ Graph ReadEdgeList(std::istream& in);
 void WriteBinaryCsr(std::ostream& out, const Graph& graph);
 
 /// Memory-maps an emis-csr/1 file read-only and wraps it as a Graph without
-/// copying: only the header is validated (magic, endianness, version,
-/// section bounds, file size), so the load faults in O(1) pages — adjacency
-/// pages fault lazily on first scan. The mapping is advised towards huge
-/// pages and stays alive as long as any copy of the returned Graph does.
-/// Throws PreconditionError on malformed, foreign-endian, or truncated
-/// files.
+/// copying. Validates the header (magic, endianness, version, section
+/// bounds, file size) and, in one O(n + m) pass read through the file
+/// rather than the mapping, the arrays: non-decreasing row offsets,
+/// neighbor ids below num_nodes, max_degree equal to the longest row. The
+/// mapping itself faults in O(1) pages at load — adjacency pages fault
+/// lazily on first scan. The mapping is advised towards huge pages and
+/// stays alive as long as any copy of the returned Graph does. Throws
+/// PreconditionError on malformed, foreign-endian, truncated or
+/// out-of-range files.
 Graph MapBinaryCsr(const std::string& path);
 
 /// Builds a graph from a spec string (see header comment). Randomized

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <numeric>
 
 #include "core/contracts.hpp"
 #include "obs/scoped_timer.hpp"
@@ -97,6 +98,14 @@ Scheduler::Scheduler(const Graph& graph, SchedulerConfig config, std::uint64_t s
     ctx_cold_[v].energy = &energy_.Of(v);
     ctx_cold_[v].timeline = config_.timeline;
   }
+  // Sharding applies to the flat engine only, and never cuts more shards
+  // than nodes, so degenerate tiny graphs collapse to fewer shards instead
+  // of empty dispatches. Every other run is the one-shard cut.
+  if (config_.engine == ExecutionEngine::kFlat && config_.shards > 1 &&
+      graph.NumNodes() > 0) {
+    shards_ = std::min<unsigned>(config_.shards, graph.NumNodes());
+  }
+  BuildShardCut();
 }
 
 void Scheduler::Spawn(const ProtocolFactory& factory) {
@@ -106,19 +115,20 @@ void Scheduler::Spawn(const ProtocolFactory& factory) {
   spawned_ = true;
   // Root frames (and any coroutines the factory itself creates) come from
   // this scheduler's pooled arena; see radio/frame_arena.hpp.
-  const FrameArenaScope frames(&arena_);
-  tasks_.reserve(graph_->NumNodes());
-  for (NodeId v = 0; v < graph_->NumNodes(); ++v) {
-    tasks_.push_back(factory(NodeApi(View(v))));
-    EMIS_EXPECTS(tasks_.back().Valid(), "protocol factory returned an empty task");
+  {
+    const FrameArenaScope frames(&arena_);
+    tasks_.reserve(graph_->NumNodes());
+    for (NodeId v = 0; v < graph_->NumNodes(); ++v) {
+      tasks_.push_back(factory(NodeApi(View(v))));
+      EMIS_EXPECTS(tasks_.back().Valid(), "protocol factory returned an empty task");
+      ctx_cold_[v].resume_point = tasks_[v].RawHandle();
+    }
   }
   // Start every protocol: run it to its first suspension (or completion) so
   // it submits its action for round 0.
-  for (NodeId v = 0; v < graph_->NumNodes(); ++v) {
-    ctx_hot_[v].now = 0;
-    ctx_cold_[v].resume_point = tasks_[v].RawHandle();
-    ResumeAndFile(v, actors_, shard_actors_);
-  }
+  std::vector<NodeId> all(graph_->NumNodes());
+  std::iota(all.begin(), all.end(), NodeId{0});
+  StepAndFile(all, 0, nullptr, actors_, shard_actors_);
 }
 
 void Scheduler::SpawnFlat(std::unique_ptr<FlatProtocol> protocol) {
@@ -129,32 +139,11 @@ void Scheduler::SpawnFlat(std::unique_ptr<FlatProtocol> protocol) {
   spawned_ = true;
   flat_ = std::move(protocol);
   flat_lanes_ = flat_->Lanes();
-  // Sharding engages here (flat engine only): never more shards than nodes,
-  // so every shard owns at least one row at bench sizes and degenerate tiny
-  // graphs collapse to fewer shards instead of empty dispatches.
-  if (config_.shards > 1 && graph_->NumNodes() > 0) {
-    shards_ = std::min<unsigned>(config_.shards, graph_->NumNodes());
-  }
-  if (Sharded()) BuildShardCut();
   // Step every machine to its first action (round 0), in node order —
-  // exactly where Spawn runs each coroutine to its first suspension. The
-  // steps are independent per node (each touches only its own lane), so the
-  // sharded path runs them on the pool and files serially afterwards.
-  const NodeId n = graph_->NumNodes();
-  if (ParallelStepEligible() && n >= kParallelMinNodes) {
-    par::ParallelFor(shards_, shards_, [this](std::uint64_t s, unsigned) {
-      for (NodeId v = shard_begin_[s]; v < shard_begin_[s + 1]; ++v) {
-        ctx_hot_[v].now = 0;
-        flat_->Step(v, View(v));
-      }
-    });
-    for (NodeId v = 0; v < n; ++v) FileAction(v, actors_, shard_actors_);
-  } else {
-    for (NodeId v = 0; v < n; ++v) {
-      ctx_hot_[v].now = 0;
-      ResumeAndFile(v, actors_, shard_actors_);
-    }
-  }
+  // exactly where Spawn runs each coroutine to its first suspension.
+  std::vector<NodeId> all(graph_->NumNodes());
+  std::iota(all.begin(), all.end(), NodeId{0});
+  StepAndFile(all, 0, nullptr, actors_, shard_actors_);
 }
 
 void Scheduler::BuildShardCut() {
@@ -205,21 +194,64 @@ void Scheduler::Retire(NodeId v) {
   ++retired_;
 }
 
-void Scheduler::ResumeAndFile(NodeId v, std::vector<NodeId>& actors,
-                              std::vector<std::vector<NodeId>>& by_shard) {
-  if (flat_ != nullptr) {
-    flat_->Step(v, View(v));
-  } else {
-    // Sub-protocol frames spawned while the coroutine runs allocate from
-    // (and completed ones recycle into) this scheduler's arena.
-    const FrameArenaScope frames(&arena_);
-    ctx_cold_[v].resume_point.resume();
-    if (tasks_[v].Done()) {
-      tasks_[v].RethrowIfFailed();
-      ctx_hot_[v].MarkDone();
-    }
+void Scheduler::StepAndFile(std::span<const NodeId> nodes, Round now,
+                            const std::vector<std::vector<NodeId>>* shard_lists,
+                            std::vector<NodeId>& actors,
+                            std::vector<std::vector<NodeId>>& by_shard) {
+  // Filing always runs serially in list order (see FileAction). No step
+  // reads what filing writes, so filing after all steps or right after
+  // each gives the same bits.
+  const auto clock = static_cast<std::uint32_t>(now);
+  if (ParallelStepEligible()) {
+    // Steps are independent per node (each touches only its own context and
+    // lane), so each shard steps its own part on the pool: its list when the
+    // caller keeps per-shard lists, else its segment of the node-sorted
+    // `nodes`.
+    par::ParallelFor(ShardJobs(nodes.size()), shards_,
+                     [this, nodes, shard_lists, clock](std::uint64_t s, unsigned) {
+      std::span<const NodeId> part;
+      if (shard_lists != nullptr) {
+        part = (*shard_lists)[s];
+      } else {
+        const auto begin =
+            std::lower_bound(nodes.begin(), nodes.end(), shard_begin_[s]);
+        part = {begin, std::lower_bound(begin, nodes.end(), shard_begin_[s + 1])};
+      }
+      for (std::size_t i = 0; i < part.size(); ++i) {
+        PrefetchResume(part, i);
+        const NodeId v = part[i];
+        EMIS_INVARIANT(ctx_hot_[v].Pending() != ActionKind::kSleep ||
+                           ctx_hot_[v].WakeRound() == clock,
+                       "missed a wake event");
+        ctx_hot_[v].now = clock;
+        flat_->Step(v, View(v));
+      }
+    });
+    for (const NodeId v : nodes) FileAction(v, actors, by_shard);
+    return;
   }
-  FileAction(v, actors, by_shard);
+  // Serially, each node files right after its step, while its hot context
+  // is still in cache. Sub-protocol frames spawned while a coroutine runs
+  // allocate from (and completed ones recycle into) this scheduler's arena.
+  const FrameArenaScope frames(&arena_);
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    PrefetchResume(nodes, i);
+    const NodeId v = nodes[i];
+    HotNodeContext& hot = ctx_hot_[v];
+    EMIS_INVARIANT(hot.Pending() != ActionKind::kSleep || hot.WakeRound() == clock,
+                   "missed a wake event");
+    hot.now = clock;
+    if (flat_ != nullptr) {
+      flat_->Step(v, View(v));
+    } else {
+      ctx_cold_[v].resume_point.resume();
+      if (tasks_[v].Done()) {
+        tasks_[v].RethrowIfFailed();
+        hot.MarkDone();
+      }
+    }
+    FileAction(v, actors, by_shard);
+  }
 }
 
 void Scheduler::FileAction(NodeId v, std::vector<NodeId>& actors,
@@ -249,7 +281,7 @@ void Scheduler::FileAction(NodeId v, std::vector<NodeId>& actors,
   }
 }
 
-void Scheduler::PrefetchResume(const std::vector<NodeId>& nodes,
+void Scheduler::PrefetchResume(std::span<const NodeId> nodes,
                                std::size_t i) noexcept {
   if (i + 16 < nodes.size()) {
     const NodeId ahead = nodes[i + 16];
@@ -356,7 +388,7 @@ ChannelDirection Scheduler::ChooseDirection() {
 
 void Scheduler::ShardTransmitPass(unsigned s) {
   Channel::TxShardBuffer& buffer = tx_buffers_[s];
-  const std::vector<NodeId>& list = shard_actors_[s];
+  const std::vector<NodeId>& list = ShardActors(s);
   std::uint64_t transmits = 0;
   for (std::size_t i = 0; i < list.size(); ++i) {
     if (i + 8 < list.size()) {
@@ -419,7 +451,7 @@ void Scheduler::ExecuteRound() {
     if (config_.ledger != nullptr) config_.ledger->PrimeCurrentKey();
     const unsigned jobs = ShardJobs(actors_.size());
     std::uint64_t tx_total = 0;
-    if (dir == ChannelDirection::kPull && Sharded()) {
+    if (dir == ChannelDirection::kPull) {
       par::ParallelFor(jobs, shards_, [this](std::uint64_t s, unsigned) {
         ShardTransmitPass(static_cast<unsigned>(s));
       });
@@ -434,7 +466,7 @@ void Scheduler::ExecuteRound() {
       // Push deliveries write into neighbors' slots, which any shard may
       // own, so they run serially in global actor order. That stays cheap:
       // push is only chosen when its edge side is under a quarter of the
-      // listen side. Unsharded pull rounds register through the same loop.
+      // listen side.
       for (std::size_t i = 0; i < actors_.size(); ++i) {
         if (i + 8 < actors_.size()) {
           __builtin_prefetch(&ctx_hot_[actors_[i + 8]], 0, 1);
@@ -470,35 +502,12 @@ void Scheduler::ExecuteRound() {
     EmitHeartbeat();
   }
 
-  // Resume pass: per-shard protocol steps in parallel when eligible, then a
-  // serial filing pass in global actor order — filing mutates cross-node
-  // state (finished_, the wheel, the retired count) whose order the goldens
-  // pin. Otherwise (coroutine engine, unsharded, or a timeline whose
-  // annotations mutate shared state inside Step) the serial reference
-  // resume steps and files each actor in turn.
+  // Resume pass: step every actor to its action for the next round and
+  // file it (StepAndFile).
   const obs::ScopedTimer timing(resume_timer_);
   next_actors_.clear();
   for (std::vector<NodeId>& list : next_shard_actors_) list.clear();
-  if (ParallelStepEligible()) {
-    par::ParallelFor(ShardJobs(actors_.size()), shards_,
-                     [this](std::uint64_t s, unsigned) {
-      const std::vector<NodeId>& list = shard_actors_[s];
-      for (std::size_t i = 0; i < list.size(); ++i) {
-        PrefetchResume(list, i);
-        const NodeId v = list[i];
-        ctx_hot_[v].now = static_cast<std::uint32_t>(now_ + 1);
-        flat_->Step(v, View(v));
-      }
-    });
-    for (const NodeId v : actors_) FileAction(v, next_actors_, next_shard_actors_);
-  } else {
-    for (std::size_t i = 0; i < actors_.size(); ++i) {
-      PrefetchResume(actors_, i);
-      const NodeId v = actors_[i];
-      ctx_hot_[v].now = static_cast<std::uint32_t>(now_ + 1);
-      ResumeAndFile(v, next_actors_, next_shard_actors_);
-    }
-  }
+  StepAndFile(actors_, now_ + 1, &shard_actors_, next_actors_, next_shard_actors_);
   actors_.swap(next_actors_);
   shard_actors_.swap(next_shard_actors_);
 }
@@ -561,36 +570,7 @@ RunStats Scheduler::RunUntil(Round limit) {
       std::sort(wake_scratch_.begin(), wake_scratch_.end());
       wheel_count_ -= wake_scratch_.size();
       if (wake_events_ != nullptr) wake_events_->Inc(wake_scratch_.size());
-      if (ParallelStepEligible() && wake_scratch_.size() >= kParallelMinNodes) {
-        // The sorted bucket partitions into contiguous per-shard segments;
-        // step them on the pool, then file serially in the same sorted
-        // (node-ascending) order the serial path uses.
-        par::ParallelFor(shards_, shards_, [this](std::uint64_t s, unsigned) {
-          const auto begin = std::lower_bound(wake_scratch_.begin(),
-                                              wake_scratch_.end(),
-                                              shard_begin_[s]);
-          const auto end = std::lower_bound(wake_scratch_.begin(),
-                                            wake_scratch_.end(),
-                                            shard_begin_[s + 1]);
-          for (auto it = begin; it != end; ++it) {
-            const NodeId v = *it;
-            EMIS_INVARIANT(ctx_hot_[v].WakeRound() == now_, "missed a wake event");
-            ctx_hot_[v].now = static_cast<std::uint32_t>(now_);
-            flat_->Step(v, View(v));
-          }
-        });
-        for (const NodeId v : wake_scratch_) {
-          FileAction(v, actors_, shard_actors_);
-        }
-      } else {
-        for (std::size_t i = 0; i < wake_scratch_.size(); ++i) {
-          PrefetchResume(wake_scratch_, i);
-          const NodeId v = wake_scratch_[i];
-          EMIS_INVARIANT(ctx_hot_[v].WakeRound() == now_, "missed a wake event");
-          ctx_hot_[v].now = static_cast<std::uint32_t>(now_);
-          ResumeAndFile(v, actors_, shard_actors_);
-        }
-      }
+      StepAndFile(wake_scratch_, now_, nullptr, actors_, shard_actors_);
     }
     if (actors_.empty()) continue;  // woken nodes all went back to sleep
 

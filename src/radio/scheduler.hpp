@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "obs/energy_ledger.hpp"
@@ -192,19 +193,22 @@ class Scheduler {
   static constexpr std::size_t kWheelSize = 4096;
 
  private:
-  /// Advances node v's program to its next suspension — resuming its
-  /// coroutine or stepping its flat lane, per config.engine — and files
-  /// the submitted action via FileAction. `by_shard` mirrors radio actions
-  /// into per-shard actor lists when the run is sharded.
-  void ResumeAndFile(NodeId v, std::vector<NodeId>& actors,
-                     std::vector<std::vector<NodeId>>& by_shard);
+  /// The one step-and-file pass behind spawn (all nodes, round 0), the wake
+  /// drain (the sorted bucket) and the resume pass (the actors): steps each
+  /// node of `nodes` to its next suspension at clock `now` and files its
+  /// action via FileAction in list order. When ParallelStepEligible, each
+  /// shard steps its part on the pool (`shard_lists[s]`, else its segment
+  /// of the node-sorted `nodes`) and filing follows serially.
+  void StepAndFile(std::span<const NodeId> nodes, Round now,
+                   const std::vector<std::vector<NodeId>>* shard_lists,
+                   std::vector<NodeId>& actors,
+                   std::vector<std::vector<NodeId>>& by_shard);
 
   /// Files node v's already-computed action: into `actors` (and the shard
-  /// mirror) if it acts in round ctx.now, into the wake wheel if it sleeps;
-  /// detects completion and retires. Split from ResumeAndFile so sharded
-  /// rounds can step nodes in parallel and then file serially in global
-  /// actor order — filing mutates cross-node state (finished_, the retired
-  /// count, the wheel), whose mutation order the trace/report goldens pin.
+  /// mirror, when sharded) if it acts in round ctx.now, into the wake wheel
+  /// if it sleeps; detects completion and retires. Called serially in list
+  /// order — filing mutates cross-node state (finished_, the retired count,
+  /// the wheel), whose mutation order the trace/report goldens pin.
   void FileAction(NodeId v, std::vector<NodeId>& actors,
                   std::vector<std::vector<NodeId>>& by_shard);
 
@@ -216,19 +220,18 @@ class Scheduler {
   /// resume_point to the coroutine-frame header the resume call loads
   /// first. Hides the dependent LLC misses that otherwise dominate per-wake
   /// cost on large graphs.
-  void PrefetchResume(const std::vector<NodeId>& nodes, std::size_t i) noexcept;
+  void PrefetchResume(std::span<const NodeId> nodes, std::size_t i) noexcept;
 
   /// Executes the current round for `actors_`, then resumes the actors to
   /// collect their next actions. One path for every engine and shard count
-  /// (an unsharded run is the one-shard case, whose passes run inline):
-  /// (1) transmitters register — pull rounds of a sharded run stamp
-  /// shard-local bitsets in parallel and OR-merge them in fixed shard order;
-  /// every other round (push, or unsharded) registers serially in global
-  /// actor order; (2) a per-shard listener pass resolves receptions, in
-  /// parallel when sharded; (3) energy totals commit once and the trace is
-  /// emitted serially in global actor order; (4) the resume pass steps the
-  /// actors (in parallel when ParallelStepEligible) and files them serially.
-  /// Every observable is bit-identical at any shard count (DESIGN.md §13).
+  /// (an unsharded run is the one-shard cut, whose passes run inline):
+  /// (1) transmitters register — a pull round stamps shard-local bitsets
+  /// (in parallel when sharded) and OR-merges them in fixed shard order; a
+  /// push round registers serially in global actor order; (2) a per-shard
+  /// listener pass resolves receptions; (3) energy totals commit once and
+  /// the trace is emitted serially in global actor order; (4) StepAndFile
+  /// steps the actors and files them serially. Every observable is
+  /// bit-identical at any shard count (DESIGN.md §13).
   void ExecuteRound();
 
   /// Shard s's pull-round transmitter stamping + local energy charges.
@@ -297,8 +300,8 @@ class Scheduler {
   /// The two-pointer hot/cold view of node v handed to NodeApi / FlatCtx.
   NodeContext View(NodeId v) noexcept { return {&ctx_hot_[v], &ctx_cold_[v]}; }
 
-  // Engaged by SpawnFlat: the batched state-machine backend. When set, the
-  // resume hot path steps lanes in place and tasks_/arena_ stay empty.
+  // Engaged by SpawnFlat: the batched state-machine backend. When set,
+  // StepAndFile steps lanes in place and tasks_/arena_ stay empty.
   std::unique_ptr<FlatProtocol> flat_;
   // Cached at SpawnFlat so the prefetch path pays no virtual call.
   FlatProtocol::LaneLayout flat_lanes_;
@@ -307,20 +310,20 @@ class Scheduler {
   std::vector<NodeId> actors_;
   std::vector<NodeId> next_actors_;  // scratch, swapped each round
 
-  // Intra-run sharding (flat engine only; engaged by SpawnFlat when
-  // config.shards > 1). shard_begin_ holds the contiguous node cut
-  // (shards_ + 1 boundaries); shard_actors_ mirrors actors_ partitioned by
-  // shard, maintained by FileAction and swapped alongside it.
+  // Intra-run sharding, cut once by the constructor (flat engine only;
+  // every other run is the one-shard cut). shard_begin_ holds the
+  // contiguous node cut (shards_ + 1 boundaries); when sharded,
+  // shard_actors_ mirrors actors_ partitioned by shard, maintained by
+  // FileAction and swapped alongside it.
   unsigned shards_ = 1;
   std::vector<NodeId> shard_begin_;
   std::vector<std::vector<NodeId>> shard_actors_;
   std::vector<std::vector<NodeId>> next_shard_actors_;
   std::vector<Channel::TxShardBuffer> tx_buffers_;
   // Per-shard charge tallies from the shard passes, summed serially into
-  // the EnergyMeter totals once per round. The listen tally has one entry
-  // when unsharded: the listener pass runs as the one-shard case.
+  // the EnergyMeter totals once per round.
   std::vector<std::uint64_t> shard_tx_count_;
-  std::vector<std::uint64_t> shard_listen_count_ = std::vector<std::uint64_t>(1);
+  std::vector<std::uint64_t> shard_listen_count_;
   std::uint64_t merge_words_ = 0;  ///< words OR-merged across all rounds
   std::uint64_t barrier_waits_base_ = 0;  ///< par::BarrierWaits at ctor
 

@@ -9,16 +9,20 @@
 //     reproduce at 4 shards (equivalence to the frozen behavior, not merely
 //     to today's single-shard build);
 //   * a graph big enough to cross the scheduler's inline-below threshold
-//     (kParallelMinNodes) so real pool threads execute the round passes;
+//     (kParallelMinNodes) so real pool threads execute the round passes,
+//     for every core;
 //   * emis-run-report/1 documents are identical across shard counts outside
 //     the declared cost observables (run.shards, chan.merge_words,
-//     parallel.* gauges, wall-clock timers, alloc).
+//     parallel.* gauges, wall-clock timers, alloc), also with a phase
+//     timeline above the inline threshold.
 // Format contract: pack -> mmap round-trips the exact CSR arrays, and the
-// loader rejects truncation, bad magic, bad version and foreign endianness.
+// loader rejects truncation, bad magic, bad version, foreign endianness,
+// decreasing row offsets, out-of-range neighbor ids and a wrong max_degree.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -124,13 +128,16 @@ TEST(BinaryCsr, RejectsTruncatedFile) {
   EXPECT_THROW(MapBinaryCsr(stub), PreconditionError);
 }
 
-void CorruptByte(const std::string& src, const std::string& dst,
-                 std::size_t at, char value) {
+/// Copies `src` to `dst` with the sizeof(T) bytes at `at` overwritten by
+/// `value` (native byte order, as the format stores it).
+template <typename T>
+void PatchWord(const std::string& src, const std::string& dst, std::size_t at,
+               T value) {
   std::ifstream in(src, std::ios::binary);
   std::string bytes((std::istreambuf_iterator<char>(in)),
                     std::istreambuf_iterator<char>());
-  ASSERT_GT(bytes.size(), at);
-  bytes[at] = value;
+  ASSERT_GE(bytes.size(), at + sizeof(T));
+  std::memcpy(bytes.data() + at, &value, sizeof(T));
   std::ofstream out(dst, std::ios::binary);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
@@ -143,7 +150,7 @@ TEST(BinaryCsr, RejectsBadMagicVersionAndForeignEndianness) {
   EXPECT_NO_THROW(MapBinaryCsr(good));
 
   const std::string bad_magic = TempPath("bad_magic.csr");
-  CorruptByte(good, bad_magic, 0, 'X');  // magic starts at byte 0
+  PatchWord<char>(good, bad_magic, 0, 'X');  // magic starts at byte 0
   EXPECT_THROW(MapBinaryCsr(bad_magic), PreconditionError);
 
   // The endian tag (bytes 8..11) stores 0x01020304 in native order; a
@@ -162,8 +169,51 @@ TEST(BinaryCsr, RejectsBadMagicVersionAndForeignEndianness) {
   EXPECT_THROW(MapBinaryCsr(foreign), PreconditionError);
 
   const std::string bad_version = TempPath("bad_version.csr");
-  CorruptByte(good, bad_version, 12, 9);  // version field at bytes 12..15
+  PatchWord<char>(good, bad_version, 12, 9);  // version field at bytes 12..15
   EXPECT_THROW(MapBinaryCsr(bad_version), PreconditionError);
+}
+
+TEST(BinaryCsr, RejectsDecreasingRowOffsets) {
+  // A row whose end precedes its start would hand the scans a span that
+  // runs backwards (or far past the adjacency section). The ends still
+  // check out, so only the full offsets pass can catch it.
+  Rng rng(8);
+  const Graph g = gen::ErdosRenyi(256, 0.05, rng);
+  const std::string good = TempPath("offsets_good.csr");
+  PackTo(good, g);
+  const std::string bad = TempPath("offsets_bad.csr");
+  // offsets[1] sits 8 bytes into the offsets section, which starts right
+  // after the 64-byte header.
+  PatchWord<std::uint64_t>(good, bad, 64 + 8, g.RowOffsets()[2] + 1);
+  EXPECT_THROW(MapBinaryCsr(bad), PreconditionError);
+}
+
+TEST(BinaryCsr, RejectsOutOfRangeNeighborIdAndWrongMaxDegree) {
+  Rng rng(9);
+  const Graph g = gen::ErdosRenyi(256, 0.05, rng);
+  const std::string good = TempPath("ids_good.csr");
+  PackTo(good, g);
+  std::uint64_t adjacency_start = 0;
+  {
+    std::ifstream in(good, std::ios::binary);
+    in.seekg(48);  // adjacency_start field of the header
+    in.read(reinterpret_cast<char*>(&adjacency_start), sizeof(adjacency_start));
+    ASSERT_TRUE(in.good());
+  }
+  // The first id past the range is num_nodes itself.
+  const std::string bad_id = TempPath("ids_bad.csr");
+  PatchWord<NodeId>(good, bad_id, adjacency_start, g.NumNodes());
+  EXPECT_THROW(MapBinaryCsr(bad_id), PreconditionError);
+  // The last entry, so the pass must read the whole section.
+  const std::string bad_last = TempPath("ids_bad_last.csr");
+  PatchWord<NodeId>(good, bad_last,
+                    adjacency_start + (g.Adjacency().size() - 1) * sizeof(NodeId),
+                    0x7fffffffu);
+  EXPECT_THROW(MapBinaryCsr(bad_last), PreconditionError);
+  // max_degree (bytes 32..35) must equal the longest row.
+  const std::string bad_degree = TempPath("degree_bad.csr");
+  PatchWord<std::uint32_t>(good, bad_degree, 32, g.MaxDegree() - 1);
+  EXPECT_THROW(MapBinaryCsr(bad_degree), PreconditionError);
 }
 
 TEST(BinaryCsr, MappedGraphRunsIdenticallyToOwnedGraph) {
@@ -275,15 +325,16 @@ TEST(ShardedRun, ReproducesPinnedGoldenTraceHashesAtFourShards) {
 TEST(ShardedRun, BitIdenticalAboveTheInlineThreshold) {
   // 4096 nodes crosses Scheduler::kParallelMinNodes, so the round passes
   // genuinely dispatch onto pool threads (the small-graph tests above run
-  // the shard loops inline). This is the TSan-meaningful configuration.
+  // the shard loops inline), for every core. This is the TSan-meaningful
+  // configuration.
   Rng rng(616);
   const Graph g = gen::ErdosRenyi(4096, 0.002, rng);
-  const RunFingerprint reference =
-      ShardedFingerprint(g, 1, MisAlgorithm::kCd, 0.0);
-  for (unsigned shards : {2u, 4u}) {
-    EXPECT_EQ(ShardedFingerprint(g, shards, MisAlgorithm::kCd, 0.0),
-              reference)
-        << "shards " << shards;
+  for (MisAlgorithm algorithm : kCores) {
+    const RunFingerprint reference = ShardedFingerprint(g, 1, algorithm, 0.0);
+    for (unsigned shards : {2u, 4u}) {
+      EXPECT_EQ(ShardedFingerprint(g, shards, algorithm, 0.0), reference)
+          << ToString(algorithm) << " shards " << shards;
+    }
   }
 }
 
@@ -301,7 +352,12 @@ TEST(ShardedRun, ShardCountExceedingNodesIsClamped) {
 /// observables: run.shards, the chan.merge_words / parallel.* gauges, the
 /// wall-clock timers and the alloc section. What remains must be identical
 /// at any shard count.
-std::string NormalizedShardReport(const Graph& g, unsigned shards) {
+/// With `with_timeline` the run also carries a phase timeline (and the
+/// report its phases block): phase annotations mutate the shared timeline
+/// inside a step, so such runs step serially while the channel passes stay
+/// sharded.
+std::string NormalizedShardReport(const Graph& g, unsigned shards,
+                                  bool with_timeline = false) {
   obs::MetricsRegistry metrics;
   obs::PhaseTimeline timeline;
   MisRunConfig cfg;
@@ -310,8 +366,7 @@ std::string NormalizedShardReport(const Graph& g, unsigned shards) {
   cfg.engine = ExecutionEngine::kFlat;
   cfg.shards = shards;
   cfg.metrics = &metrics;
-  // No timeline: a timeline forces the serial step path (phase probes
-  // observe mid-round state), which is not what this test exercises.
+  if (with_timeline) cfg.timeline = &timeline;
   const MisRunResult r = RunMis(g, cfg);
   EXPECT_TRUE(r.Valid());
   obs::JsonValue doc = obs::BuildRunReport({.algorithm = "cd",
@@ -326,6 +381,8 @@ std::string NormalizedShardReport(const Graph& g, unsigned shards) {
                                             .mis_size = r.MisSize(),
                                             .stats = &r.stats,
                                             .energy = &r.energy,
+                                            .timeline = with_timeline ? &timeline
+                                                                      : nullptr,
                                             .metrics = &metrics});
   EXPECT_EQ(obs::ValidateRunReport(doc), "");
   // The run block must record what actually executed.
@@ -371,6 +428,17 @@ TEST(ShardedRun, ReportsIdenticalAcrossShardCountsOutsideCostKeys) {
   const std::string reference = NormalizedShardReport(g, 1);
   EXPECT_EQ(NormalizedShardReport(g, 2), reference);
   EXPECT_EQ(NormalizedShardReport(g, 4), reference);
+}
+
+TEST(ShardedRun, TimelineReportsIdenticalAboveTheInlineThreshold) {
+  // Above kParallelMinNodes the channel passes dispatch onto the pool while
+  // the timeline keeps every step serial: the phases block (with its
+  // residual probes) and the rest of the report must not see the shards.
+  Rng rng(616);
+  const Graph g = gen::ErdosRenyi(4096, 0.002, rng);
+  const std::string reference = NormalizedShardReport(g, 1, true);
+  EXPECT_NE(reference.find("\"phases\""), std::string::npos);
+  EXPECT_EQ(NormalizedShardReport(g, 4, true), reference);
 }
 
 TEST(ShardedRun, DefaultShardsParsesEnvironmentContract) {
