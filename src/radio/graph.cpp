@@ -1,10 +1,60 @@
 #include "radio/graph.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <new>
 
 #include "core/contracts.hpp"
+#include "radio/hugepages.hpp"
+#include "verify/parallel.hpp"
 
 namespace emis {
+namespace {
+
+/// Pending edges per chunk (and per finish range) below which Build stays on
+/// the one-chunk cut: a pool dispatch costs tens of microseconds, building
+/// 64 Ki edges about a millisecond.
+constexpr std::uint64_t kBuildGrain = std::uint64_t{1} << 16;
+
+/// Zero-filled 64-bit scratch words. Large blocks are mapped straight from
+/// the kernel and unmapped on destruction, not taken from the malloc heap:
+/// freeing a heap block that size moves glibc's dynamic mmap threshold and
+/// leaves later per-run arrays in a heap it no longer trims, which measured
+/// +13 MiB of peak RSS over repeated build-then-run trials at n = 2^16.
+/// Blocks under glibc's initial 128 KiB threshold (every small sweep graph)
+/// stay on the heap, where they never move it and cost no system call.
+class ScratchWords {
+ public:
+  explicit ScratchWords(std::size_t count) {
+    if (count * sizeof(std::uint64_t) < kMapBytes) {
+      heap_.resize(count);
+      words_ = heap_.data();
+      return;
+    }
+    void* const p = ::mmap(nullptr, count * sizeof(std::uint64_t), PROT_READ | PROT_WRITE,
+                           MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+    words_ = static_cast<std::uint64_t*>(p);
+    mapped_bytes_ = count * sizeof(std::uint64_t);
+  }
+  ~ScratchWords() {
+    if (mapped_bytes_ != 0) ::munmap(words_, mapped_bytes_);
+  }
+  ScratchWords(const ScratchWords&) = delete;
+  ScratchWords& operator=(const ScratchWords&) = delete;
+
+  std::uint64_t* data() const noexcept { return words_; }
+
+ private:
+  static constexpr std::size_t kMapBytes = std::size_t{128} << 10;
+
+  std::vector<std::uint64_t> heap_;
+  std::uint64_t* words_ = nullptr;
+  std::size_t mapped_bytes_ = 0;
+};
+
+}  // namespace
 
 Graph Graph::FromEdges(NodeId num_nodes, std::span<const Edge> edges) {
   GraphBuilder builder(num_nodes);
@@ -177,46 +227,118 @@ void GraphBuilder::AddEdgeDedup(NodeId u, NodeId v) {
   edges_.push_back({u, v});
 }
 
-Graph GraphBuilder::Build() && {
-  // Count -> scatter -> per-row finish. Each row is finished on its own: a
-  // duplicate edge repeats inside both endpoint rows, so no cross-row order.
+Graph GraphBuilder::Build(unsigned jobs) && {
+  if (jobs == 0) jobs = par::DefaultJobs();
+  const std::size_t n = num_nodes_;
+  const std::uint64_t m = edges_.size();
+  // J contiguous chunks of the pending list: one per job, but never a chunk
+  // under the grain and never more cursor rows (J x n x 8 B) than 1/8 of the
+  // pending list (m x 8 B). The finish cuts up to four row ranges per job.
+  const std::uint64_t chunks = std::clamp<std::uint64_t>(
+      std::min(m / kBuildGrain, m / (8 * (n + 1))), 1, jobs);
+  const std::uint64_t ranges =
+      std::clamp<std::uint64_t>(m / kBuildGrain, 1, std::uint64_t{4} * jobs);
+  const auto chunk_edges = [this, m, chunks](std::uint64_t j) {
+    const std::uint64_t begin = m * j / chunks;
+    return std::span<const Edge>(edges_).subspan(begin, m * (j + 1) / chunks - begin);
+  };
+
   Graph g;
-  g.offsets_.assign(static_cast<std::size_t>(num_nodes_) + 1, 0);
-  for (const Edge& e : edges_) {
-    ++g.offsets_[e.u + 1];
-    ++g.offsets_[e.v + 1];
-  }
-  for (std::size_t i = 1; i < g.offsets_.size(); ++i) g.offsets_[i] += g.offsets_[i - 1];
-
-  // offsets_[v] is row v's cursor; afterwards it holds the row's end.
-  g.adjacency_.resize(edges_.size() * 2);
-  for (const Edge& e : edges_) {
-    g.adjacency_[g.offsets_[e.u]++] = e.v;
-    g.adjacency_[g.offsets_[e.v]++] = e.u;
-  }
-
-  // Sort unsorted rows; reject (or, after AddEdgeDedup, drop) duplicates.
-  NodeId* const adj = g.adjacency_.data();
-  std::uint64_t row_begin = 0;  // row v's start as scattered
-  std::uint64_t out = 0;        // row v's start once closed up
-  for (NodeId v = 0; v < num_nodes_; ++v) {
-    NodeId* const begin = adj + row_begin;
-    NodeId* end = adj + g.offsets_[v];
-    row_begin = g.offsets_[v];
-    if (!std::is_sorted(begin, end)) std::sort(begin, end);
-    if (NodeId* const dup = std::adjacent_find(begin, end); dup != end) {
-      EMIS_REQUIRE(dedup_at_build_, "duplicate edge");
-      end = std::unique(dup, end);
+  g.offsets_.resize(n + 1);
+  // Count: chunk j tallies its rows into cursor row j (chunk-major).
+  const ScratchWords cursors(chunks * n);
+  par::ParallelFor(jobs, chunks, [&](std::uint64_t j, unsigned) {
+    std::uint64_t* const count = cursors.data() + j * n;
+    for (const Edge& e : chunk_edges(j)) {
+      ++count[e.u];
+      ++count[e.v];
     }
-    const auto degree = static_cast<std::uint32_t>(end - begin);
-    if (adj + out != begin) std::copy(begin, end, adj + out);
-    g.offsets_[v] = out;
-    out += degree;
-    g.max_degree_ = std::max(g.max_degree_, degree);
+  });
+
+  // Prefix over (row, chunk): chunk j's cursor in row v starts after every
+  // earlier chunk's entries there, exactly where the one-chunk scatter
+  // reaches that chunk's first edge in the row.
+  std::uint64_t next = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    g.offsets_[v] = next;
+    for (std::uint64_t j = 0; j < chunks; ++j) {
+      std::uint64_t& cursor = cursors.data()[j * n + v];
+      const std::uint64_t count = cursor;
+      cursor = next;
+      next += count;
+    }
   }
-  g.offsets_[num_nodes_] = out;
-  g.adjacency_.resize(out);
-  g.adjacency_.shrink_to_fit();  // no-op unless duplicates were dropped
+  g.offsets_[n] = next;
+
+  // Scatter: each chunk fills only the slots the prefix handed it, so the
+  // adjacency bytes are the one-chunk scatter's for any J. The resize does
+  // not zero-fill (DefaultInitAllocator): the scatter writes every slot, and
+  // its random writes are the first touch, so they fault huge pages.
+  ReserveHuge(g.adjacency_, m * 2);
+  NodeId* const build_adjacency = g.adjacency_.data();
+  par::ParallelFor(jobs, chunks, [&](std::uint64_t j, unsigned) {
+    std::uint64_t* const cursor = cursors.data() + j * n;
+    for (const Edge& e : chunk_edges(j)) {
+      build_adjacency[cursor[e.u]++] = e.v;
+      build_adjacency[cursor[e.v]++] = e.u;
+    }
+  });
+
+  // Finish over edge-balanced row ranges: sort unsorted rows; reject (or,
+  // after AddEdgeDedup, drop) duplicates. Each row is finished on its own: a
+  // duplicate edge repeats inside both endpoint rows, so no cross-row order.
+  struct RangeFinish {
+    std::uint32_t max_degree = 0;
+    bool dropped = false;
+    std::vector<std::uint32_t> kept;  // row degrees after dedup (dedup only)
+  };
+  std::vector<NodeId> row_cut(ranges + 1, static_cast<NodeId>(n));
+  row_cut[0] = 0;
+  for (std::uint64_t r = 1; r < ranges; ++r) {
+    row_cut[r] = static_cast<NodeId>(
+        std::lower_bound(g.offsets_.begin(), g.offsets_.end() - 1, next * r / ranges) -
+        g.offsets_.begin());
+  }
+  std::vector<RangeFinish> finish(ranges);
+  const bool dedup = dedup_at_build_;
+  par::ParallelFor(jobs, ranges, [&](std::uint64_t r, unsigned) {
+    RangeFinish& out = finish[r];
+    for (NodeId v = row_cut[r]; v < row_cut[r + 1]; ++v) {
+      NodeId* const begin = build_adjacency + g.offsets_[v];
+      NodeId* end = build_adjacency + g.offsets_[v + 1];
+      if (!std::is_sorted(begin, end)) std::sort(begin, end);
+      if (NodeId* const dup = std::adjacent_find(begin, end); dup != end) {
+        EMIS_REQUIRE(dedup, "duplicate edge");
+        end = std::unique(dup, end);
+        out.dropped = true;
+      }
+      const auto degree = static_cast<std::uint32_t>(end - begin);
+      if (dedup) out.kept.push_back(degree);
+      out.max_degree = std::max(out.max_degree, degree);
+    }
+  });
+
+  bool dropped = false;
+  for (const RangeFinish& f : finish) {
+    g.max_degree_ = std::max(g.max_degree_, f.max_degree);
+    dropped = dropped || f.dropped;
+  }
+  if (dropped) {
+    // Close up the rows dedup shortened, in row order.
+    std::uint64_t out = 0;
+    NodeId v = 0;
+    for (const RangeFinish& f : finish) {
+      for (const std::uint32_t degree : f.kept) {
+        NodeId* const begin = build_adjacency + g.offsets_[v];
+        std::copy(begin, begin + degree, build_adjacency + out);
+        g.offsets_[v++] = out;
+        out += degree;
+      }
+    }
+    g.offsets_[n] = out;
+    g.adjacency_.resize(out);
+    g.adjacency_.shrink_to_fit();
+  }
   return g;
 }
 

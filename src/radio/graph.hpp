@@ -7,7 +7,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <span>
+#include <type_traits>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -25,6 +27,31 @@ struct Edge {
 
 class GraphBuilder;
 class Graph;
+
+namespace detail {
+
+/// Allocator whose value-less construct default-initializes, so resize() on
+/// trivial elements leaves the memory untouched: the built adjacency's
+/// pages are first faulted in by GraphBuilder::Build's parallel scatter, not
+/// by a serial zero fill the scatter overwrites anyway.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  using std::allocator<T>::allocator;
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+}  // namespace detail
 
 /// Result of Graph::Induced: the subgraph plus the id mapping back to the
 /// parent graph. Subgraph node i corresponds to `to_original[i]`.
@@ -127,7 +154,7 @@ class Graph {
   // Owned storage (built graphs): offsets_ has NumNodes()+1 entries;
   // adjacency_ holds each edge twice.
   std::vector<std::uint64_t> offsets_{0};
-  std::vector<NodeId> adjacency_;
+  std::vector<NodeId, detail::DefaultInitAllocator<NodeId>> adjacency_;
   // Mapped storage (FromMappedCsr): the view pointers alias memory kept
   // alive by mapping_, never by this object — so defaulted copy/move stay
   // correct for both storage kinds (a copy shares the mapping).
@@ -183,7 +210,16 @@ class GraphBuilder {
 
   /// O(n + m) plus sorting only the rows that arrive unsorted; edges added in
   /// lexicographic (u, v) order, as the bulk generators emit them, sort none.
-  Graph Build() &&;
+  ///
+  /// Count -> scatter -> finish on the persistent pool (verify/parallel.hpp):
+  /// J contiguous chunks of the pending list count and scatter their edges,
+  /// then edge-balanced row ranges sort, dedup and take Δ. `jobs` bounds J
+  /// and the ranges (0 = par::DefaultJobs()); lists under a fixed edge grain
+  /// take the one-chunk cut with no dispatch, and a Build issued inside a
+  /// pool worker runs its chunks inline. The CSR is byte-identical for every
+  /// `jobs`, because an exclusive prefix over (row, chunk) hands each chunk
+  /// exactly the slots the one-chunk scatter would fill.
+  Graph Build(unsigned jobs = 0) &&;
 
  private:
   void MaterializeSeen();

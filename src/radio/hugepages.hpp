@@ -44,8 +44,8 @@ inline void AdviseHugePages(void* base, std::size_t bytes) noexcept {
 
 /// reserve() + advise + resize(), in that order, so the value-initializing
 /// first touch faults huge pages directly instead of queueing for collapse.
-template <typename T>
-void ReserveHuge(std::vector<T>& vec, std::size_t count) {
+template <typename T, typename Alloc>
+void ReserveHuge(std::vector<T, Alloc>& vec, std::size_t count) {
   vec.reserve(count);
   AdviseHugePages(vec.data(), count * sizeof(T));
   vec.resize(count);

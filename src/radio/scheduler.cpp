@@ -110,7 +110,10 @@ Scheduler::Scheduler(const Graph& graph, SchedulerConfig config, std::uint64_t s
 
 void Scheduler::Spawn(const ProtocolFactory& factory) {
   EMIS_EXPECTS(!spawned_, "Spawn must be called exactly once");
-  EMIS_EXPECTS(config_.engine == ExecutionEngine::kCoroutine,
+  // Engine and protocol checks guard a public entry point against misuse,
+  // so they stay on in every contract mode (audit mode would otherwise run
+  // on into the wrong engine or a null protocol).
+  EMIS_REQUIRE(config_.engine == ExecutionEngine::kCoroutine,
                "Spawn drives the coroutine engine; use SpawnFlat");
   spawned_ = true;
   // Root frames (and any coroutines the factory itself creates) come from
@@ -133,9 +136,9 @@ void Scheduler::Spawn(const ProtocolFactory& factory) {
 
 void Scheduler::SpawnFlat(std::unique_ptr<FlatProtocol> protocol) {
   EMIS_EXPECTS(!spawned_, "Spawn must be called exactly once");
-  EMIS_EXPECTS(config_.engine == ExecutionEngine::kFlat,
+  EMIS_REQUIRE(config_.engine == ExecutionEngine::kFlat,
                "SpawnFlat drives the flat engine; use Spawn");
-  EMIS_EXPECTS(protocol != nullptr, "flat protocol must not be null");
+  EMIS_REQUIRE(protocol != nullptr, "flat protocol must not be null");
   spawned_ = true;
   flat_ = std::move(protocol);
   flat_lanes_ = flat_->Lanes();

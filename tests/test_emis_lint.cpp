@@ -779,6 +779,31 @@ TEST(ParallelRegionMutation, ValueCapturesAndSlotAliasesAreClean) {
                   .findings.empty());
 }
 
+TEST(ParallelRegionMutation, BuildScatterSanctionsOnlyTheAdjacency) {
+  // GraphBuilder::Build's shape: the chunked scatter may write the
+  // sanctioned adjacency through its chunk's own cursor row, but a shared
+  // reduction target in the same region (the graph's Δ, the offset array)
+  // is still flagged.
+  const Report r = LintSource(
+      "src/radio/graph.cpp",
+      "Graph GraphBuilder::Build(unsigned jobs) && {\n"
+      "  par::ParallelFor(jobs, chunks, [&](std::uint64_t j, unsigned) {\n"
+      "    std::uint64_t* const cursor = cursors.data() + j * n;\n"
+      "    for (const Edge& e : chunk_edges(j)) {\n"
+      "      build_adjacency[cursor[e.u]++] = e.v;\n"
+      "      g.max_degree_ = std::max(g.max_degree_, e.u);\n"
+      "      ++offsets[e.v];\n"
+      "    }\n"
+      "  });\n"
+      "}\n");
+  ASSERT_EQ(r.findings.size(), 2u);
+  EXPECT_EQ(r.findings[0].rule, "parallel-region-mutation");
+  EXPECT_EQ(r.findings[0].line, 6);
+  EXPECT_EQ(r.findings[0].symbol, "g");
+  EXPECT_EQ(r.findings[1].line, 7);
+  EXPECT_EQ(r.findings[1].symbol, "offsets");
+}
+
 TEST(ParallelRegionMutation, SuppressedByWaiver) {
   const Report r = LintSource(
       "src/radio/x.cpp",
@@ -1006,11 +1031,14 @@ TEST(FullTree, RepositoryLintsClean) {
   //   1. src/verify/experiment.cpp   RunSweep's per-trial loop;
   //   2. src/radio/scheduler.cpp     ExecuteRound's pull-round transmit pass;
   //   3. src/radio/scheduler.cpp     ExecuteRound's listener pass;
-  //   4. src/radio/scheduler.cpp     StepAndFile's per-shard step pass.
+  //   4. src/radio/scheduler.cpp     StepAndFile's per-shard step pass;
+  //   5. src/radio/graph.cpp         GraphBuilder::Build's chunk count;
+  //   6. src/radio/graph.cpp         GraphBuilder::Build's chunk scatter;
+  //   7. src/radio/graph.cpp         GraphBuilder::Build's row-range finish.
   const emis_lint::SymbolIndex index = emis_lint::BuildIndex(corpus);
   EXPECT_EQ(r.symbols_indexed, index.functions.size());
   EXPECT_GT(index.functions.size(), 300u);
-  EXPECT_EQ(index.regions.size(), 4u);
+  EXPECT_EQ(index.regions.size(), 7u);
   EXPECT_GT(r.call_edges, 1000u);
 }
 

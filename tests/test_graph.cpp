@@ -9,6 +9,7 @@
 
 #include "radio/graph_generators.hpp"
 #include "radio/graph_io.hpp"
+#include "verify/parallel.hpp"
 
 namespace emis {
 namespace {
@@ -221,6 +222,9 @@ void ExpectSameCsr(const Graph& a, const Graph& b) {
   EXPECT_EQ(a.MaxDegree(), b.MaxDegree());
 }
 
+/// Build's job counts under test: the one-chunk cut and two chunked cuts.
+constexpr unsigned kJobCounts[] = {1, 2, 4};
+
 // Hashes recorded from the global-sort builder this one replaced; every
 // family here must keep building the very same CSR.
 TEST(GraphCsrGolden, SeededSpecsBuildIdenticalCsr) {
@@ -242,15 +246,39 @@ TEST(GraphCsrGolden, SeededSpecsBuildIdenticalCsr) {
   };
   for (const Case& c : cases) {
     Rng rng(c.seed);
-    EXPECT_EQ(CsrHash(GraphFromSpec(c.spec, rng)), c.hash) << c.spec;
+    const Graph g = GraphFromSpec(c.spec, rng);
+    EXPECT_EQ(CsrHash(g), c.hash) << c.spec;
+    // Rebuilt from its lexicographic edge list (the G(n, p) generator's own
+    // order) at each job count; the dense case is above the chunk grain.
+    for (const unsigned jobs : kJobCounts) {
+      GraphBuilder builder(g.NumNodes());
+      for (const Edge& e : g.EdgeList()) builder.AddEdge(e.u, e.v);
+      EXPECT_EQ(CsrHash(std::move(builder).Build(jobs)), c.hash)
+          << c.spec << " jobs=" << jobs;
+    }
   }
 }
 
 TEST(GraphCsrGolden, SquareBuildsIdenticalCsr) {
   Rng rng(10);
-  const Graph square = gen::ErdosRenyi(500, 0.01, rng).Square();
+  const Graph g = gen::ErdosRenyi(500, 0.01, rng);
+  const Graph square = g.Square();
   EXPECT_EQ(square.NumEdges(), 7398u);
   EXPECT_EQ(CsrHash(square), 0xb624d4a24a0b7046ULL);
+  // The same AddEdgeDedup stream Square() appends, built at each job count.
+  for (const unsigned jobs : kJobCounts) {
+    GraphBuilder builder(g.NumNodes());
+    for (NodeId v = 0; v < g.NumNodes(); ++v) {
+      for (NodeId w : g.Neighbors(v)) {
+        if (v < w) builder.AddEdgeDedup(v, w);
+        for (NodeId x : g.Neighbors(w)) {
+          if (v < x) builder.AddEdgeDedup(v, x);
+        }
+      }
+    }
+    EXPECT_EQ(CsrHash(std::move(builder).Build(jobs)), 0xb624d4a24a0b7046ULL)
+        << "jobs=" << jobs;
+  }
 }
 
 /// The edges of a seeded random graph, shuffled and randomly oriented.
@@ -262,11 +290,7 @@ struct ShuffledCase {
   Rng rng;
 };
 
-ShuffledCase MakeShuffledCase(std::uint64_t index) {
-  Rng rng(CounterHash(0x5eed, index, 0, 0));
-  const auto n = static_cast<NodeId>(2 + rng.UniformBelow(200));
-  const double p = rng.UniformUnit() * 0.3;
-  Graph sorted = gen::ErdosRenyi(n, p, rng);
+ShuffledCase ShuffleEdges(Graph sorted, Rng rng) {
   std::vector<Edge> edges = sorted.EdgeList();
   for (std::size_t i = edges.size(); i > 1; --i) {
     std::swap(edges[i - 1], edges[rng.UniformBelow(i)]);
@@ -275,6 +299,24 @@ ShuffledCase MakeShuffledCase(std::uint64_t index) {
     if (rng.Bernoulli(0.5)) std::swap(e.u, e.v);
   }
   return {std::move(sorted), std::move(edges), rng};
+}
+
+ShuffledCase MakeShuffledCase(std::uint64_t index) {
+  Rng rng(CounterHash(0x5eed, index, 0, 0));
+  const auto n = static_cast<NodeId>(2 + rng.UniformBelow(200));
+  const double p = rng.UniformUnit() * 0.3;
+  Graph sorted = gen::ErdosRenyi(n, p, rng);
+  return ShuffleEdges(std::move(sorted), rng);
+}
+
+/// A case dense enough that Build cuts several chunks: 280 K to 580 K edges,
+/// above four times the 64 Ki-edge grain, at average degree ~280 to ~480.
+ShuffledCase MakeChunkedCase(std::uint64_t index) {
+  Rng rng(CounterHash(0xc4a1, index, 0, 0));
+  const auto n = static_cast<NodeId>(2000 + rng.UniformBelow(400));
+  const double p = 0.14 + rng.UniformUnit() * 0.06;
+  Graph sorted = gen::ErdosRenyi(n, p, rng);
+  return ShuffleEdges(std::move(sorted), rng);
 }
 
 TEST(GraphCsrProperty, ShuffledOrientedEdgesBuildSortedCsr) {
@@ -312,6 +354,66 @@ TEST(GraphCsrProperty, AddEdgeDedupBuildsSortedCsr) {
     }
     ExpectSameCsr(std::move(builder).Build(), c.sorted);
   }
+}
+
+TEST(GraphCsrProperty, ChunkedBuildMatchesAtEveryJobCount) {
+  for (std::uint64_t index = 0; index < 4; ++index) {
+    SCOPED_TRACE("case " + std::to_string(index));
+    const ShuffledCase c = MakeChunkedCase(index);
+    ASSERT_GE(c.edges.size(), std::size_t{4} << 16);
+    for (const unsigned jobs : kJobCounts) {
+      GraphBuilder builder(c.sorted.NumNodes());
+      for (const Edge& e : c.edges) builder.AddEdge(e.u, e.v);
+      ExpectSameCsr(std::move(builder).Build(jobs), c.sorted);
+    }
+  }
+}
+
+TEST(GraphCsrProperty, ChunkedAddEdgeDedupMatchesAtEveryJobCount) {
+  for (std::uint64_t index = 0; index < 4; ++index) {
+    SCOPED_TRACE("case " + std::to_string(index));
+    ShuffledCase c = MakeChunkedCase(index);
+    // One stream with about a third of the edges repeated, replayed into a
+    // fresh builder per job count.
+    std::vector<Edge> stream;
+    for (const Edge& e : c.edges) {
+      stream.push_back(e);
+      if (c.rng.UniformBelow(3) == 0) stream.push_back({e.v, e.u});
+    }
+    for (const unsigned jobs : kJobCounts) {
+      GraphBuilder builder(c.sorted.NumNodes());
+      for (const Edge& e : stream) builder.AddEdgeDedup(e.u, e.v);
+      ExpectSameCsr(std::move(builder).Build(jobs), c.sorted);
+    }
+  }
+}
+
+TEST(GraphCsrProperty, DuplicateAcrossChunksThrowsAtEveryJobCount) {
+  for (std::uint64_t index = 0; index < 4; ++index) {
+    SCOPED_TRACE("case " + std::to_string(index));
+    ShuffledCase c = MakeChunkedCase(index);
+    // The first edge repeats, reversed, as the last: its copies sit in the
+    // first and the last chunk at every chunk count.
+    c.edges.push_back({c.edges.front().v, c.edges.front().u});
+    for (const unsigned jobs : kJobCounts) {
+      GraphBuilder builder(c.sorted.NumNodes());
+      for (const Edge& e : c.edges) builder.AddEdge(e.u, e.v);
+      EXPECT_THROW(std::move(builder).Build(jobs), PreconditionError) << "jobs=" << jobs;
+    }
+  }
+}
+
+TEST(GraphCsrProperty, BuildInsidePoolWorkerMatches) {
+  // A Build issued from a ParallelFor worker (a sweep trial's graph) runs
+  // its chunks inline on that worker; the bytes must not change.
+  const ShuffledCase c = MakeChunkedCase(0);
+  std::vector<Graph> built(2);
+  par::ParallelFor(2, built.size(), [&c, &built](std::uint64_t i, unsigned) {
+    GraphBuilder builder(c.sorted.NumNodes());
+    for (const Edge& e : c.edges) builder.AddEdge(e.u, e.v);
+    built[i] = std::move(builder).Build(4);
+  });
+  for (const Graph& g : built) ExpectSameCsr(g, c.sorted);
 }
 
 }  // namespace

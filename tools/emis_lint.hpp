@@ -1326,10 +1326,17 @@ inline void RuleNestedDispatch(const Corpus& corpus, const SymbolIndex& index,
 ///                        merged serially in fixed shard order (MergeTxShard).
 ///   shard_tx_count_ /    per-shard counters, one writer each, committed
 ///   shard_listen_count_  once per round by CommitShardTotals.
+///   build_adjacency      GraphBuilder::Build's adjacency array during the
+///                        chunked scatter (radio/graph.cpp). The exclusive
+///                        prefix over (row, chunk) hands chunk j a slot range
+///                        in each row that no other chunk's cursor reaches,
+///                        and the ranges tile the row, so every slot has one
+///                        writer and the bytes equal the one-chunk scatter's
+///                        (pinned at 1/2/4 jobs by test_graph).
 inline const std::set<std::string, std::less<>>& ParallelWriteSanctioned() {
   static const std::set<std::string, std::less<>> kSanctioned = {
       "ctx_hot_", "ctx_cold_", "tx_buffers_", "shard_tx_count_",
-      "shard_listen_count_"};
+      "shard_listen_count_", "build_adjacency"};
   return kSanctioned;
 }
 
